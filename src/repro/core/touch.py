@@ -35,11 +35,12 @@ import numpy as np
 
 __all__ = ["StreamTouch", "Receipt", "TouchedPayload"]
 
-#: Bit-reversal of each byte value — maps the repo's MSB-first CRC
-#: convention onto zlib's reflected (LSB-first) register.  Same table as
-#: :mod:`repro.crc.serial`; duplicated here so the core package stays
-#: import-light (no circular dependency on the crc package).
-_BITREV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+#: Bit-reversal of each byte value, as a ``bytes.translate`` table — maps
+#: the repo's MSB-first CRC convention onto zlib's reflected (LSB-first)
+#: register.  Same table as :mod:`repro.crc.serial`; duplicated here so
+#: the core package stays import-light (no circular dependency on the crc
+#: package).
+_BITREV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 #: Population count of each byte value, for the 800-90B-style bit census.
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -104,7 +105,7 @@ class StreamTouch:
         arr = _as_flat_u8(data)
         if arr.size == 0:
             return
-        self._z = zlib.crc32(_BITREV8[arr], self._z)
+        self._z = zlib.crc32(arr.tobytes().translate(_BITREV8), self._z)
         self.ones += int(_POP8 @ np.bincount(arr, minlength=256))
         self.nbytes += arr.size
 

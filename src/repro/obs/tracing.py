@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from repro.obs import context as trace_context
 from repro.obs.context import TraceContext
 
-__all__ = ["SpanRecord", "Tracer", "SpanCollector", "span"]
+__all__ = ["SpanRecord", "Tracer", "SpanCollector", "DetachedSpan", "span", "detached_span"]
 
 #: Snapshot schema version (bump on breaking layout changes).
 TRACE_SNAPSHOT_VERSION = 1
@@ -334,6 +334,58 @@ def span(name: str, **args):
     if tracer is None:
         return _NOOP
     return _Span(tracer, name, args)
+
+
+class DetachedSpan:
+    """A span opened in one place and finished in another.
+
+    ``with span(...)`` binds a span to one block of one thread.  A
+    pipelined serve chunk is dispatched on the event loop and accepted
+    later on an executor thread, so its span is opened and closed by
+    hand: the context is minted at creation (a child of the caller's
+    current context), work started meanwhile — a pool job carrying
+    ``span.context.to_wire()`` — links to it before it ends, and
+    :meth:`finish` records it.  Overlapping detached spans are normal.
+    """
+
+    __slots__ = ("_tracer", "_name", "_args", "_parent_id", "_ts", "_t0", "_c0", "context")
+
+    def __init__(self, tracer: Tracer, name: str, args: dict) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._args = args
+        parent = trace_context.current()
+        self._parent_id = parent.span_id if parent is not None else None
+        self.context = parent.child() if parent is not None else TraceContext.mint()
+        self._ts = tracer.now_us()
+        self._t0 = time.perf_counter()
+        self._c0 = time.process_time()
+
+    def finish(self, **args) -> None:
+        """Record the span, ending now; *args* are added to its own."""
+        self._tracer.add(
+            SpanRecord(
+                name=self._name,
+                ts_us=self._ts,
+                dur_us=(time.perf_counter() - self._t0) * 1e6,
+                cpu_us=(time.process_time() - self._c0) * 1e6,
+                pid=os.getpid(),
+                tid=threading.get_ident(),
+                depth=0,
+                args={**self._args, **args},
+                trace_id=self.context.trace_id,
+                span_id=self.context.span_id,
+                parent_id=self._parent_id,
+            )
+        )
+
+
+def detached_span(name: str, **args) -> DetachedSpan | None:
+    """Open a :class:`DetachedSpan`, or ``None`` while tracing is off."""
+    from repro import obs
+
+    tracer = obs.active_tracer()
+    return None if tracer is None else DetachedSpan(tracer, name, args)
 
 
 class SpanCollector:

@@ -15,8 +15,8 @@ implements that gate for any :class:`~repro.core.generator.BSRNG`:
   (:func:`repro.nist.fips140.fips140_battery`) on the first 20,000 bits.
 
 Both continuous tests are *streaming*: state (current run, current
-window) carries across buffers, and each buffer is screened with
-vectorised numpy passes rather than a per-byte Python loop.
+window) carries across buffers, and each buffer is screened in a few
+whole-buffer numpy passes — no Python loop over samples or windows.
 
 Cutoffs are derived, not hard-coded: for a false-positive rate ``alpha``
 and an entropy estimate of ``h`` bits per byte sample, the RCT cutoff is
@@ -156,27 +156,35 @@ class RepetitionCountTest:
         Returns the offset (within *data*) at which a run reached the
         cutoff, or ``None`` when the buffer is healthy.  State carries to
         the next call either way.
+
+        One pass of ``cutoff - 1`` shifted equality masks: a run reaches
+        the cutoff exactly where ``cutoff - 1`` consecutive neighbour
+        comparisons all hold.  The carried run enters as up to
+        ``cutoff - 1`` prepended copies of the last sample, which is all
+        a run crossing the seam can contribute.
         """
-        if data.size == 0:
+        n = data.size
+        if n == 0:
             return None
-        # runs within the buffer
-        change = np.flatnonzero(np.diff(data)) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [data.size]])
-        lengths = ends - starts
-        # the first run may extend the carried run from the previous buffer
+        c = self.cutoff
         carry = self._run if self._last is not None and int(data[0]) == self._last else 0
-        total_first = lengths[0] + carry
+        pad = min(carry, c - 1)
+        ext = np.concatenate((np.full(pad, data[0], dtype=data.dtype), data)) if pad else data
+        eq = ext[1:] == ext[:-1]
         fail_at: int | None = None
-        if total_first >= self.cutoff:
-            fail_at = int(starts[0] + max(self.cutoff - carry, 1) - 1)
-        else:
-            over = np.flatnonzero(lengths >= self.cutoff)
-            if over.size:
-                fail_at = int(starts[over[0]] + self.cutoff - 1)
+        width = eq.size - (c - 2)  # windows of c - 1 consecutive comparisons
+        if width > 0:
+            hit = eq[:width].copy()
+            for k in range(1, c - 1):
+                hit &= eq[k : k + width]
+            first = int(hit.argmax())
+            if hit[first]:
+                fail_at = first + c - 1 - pad
         # carry the trailing run forward
         self._last = int(data[-1])
-        self._run = int(lengths[-1]) + (carry if lengths.size == 1 else 0)
+        back = eq[::-1]
+        k = int(back.argmin()) if back.size else 0
+        self._run = k + 1 if back.size and not back[k] else n + carry
         return fail_at
 
 
@@ -199,30 +207,47 @@ class AdaptiveProportionTest:
         self._seen = 0  # samples consumed of the current window
         self._count = 0  # matches of the reference so far (incl. itself)
 
-    def _open_window(self, sample: int) -> None:
-        self._ref = sample
-        self._seen = 1
-        self._count = 1
-
     def update(self, data: np.ndarray) -> int | None:
-        """Screen one buffer; returns the failing offset or ``None``."""
-        pos = 0
-        n = data.size
-        while pos < n:
-            if self._ref is None:
-                self._open_window(int(data[pos]))
-                pos += 1
-                continue
-            take = min(self.window - self._seen, n - pos)
-            chunk = data[pos : pos + take]
-            # vectorised count of the reference value inside the window
-            self._count += int(np.count_nonzero(chunk == self._ref))
+        """Screen one buffer; returns the failing offset or ``None``.
+
+        The window left open by the previous buffer is finished first,
+        then every whole window is counted in one ``(k, window)`` pass
+        (each row against its own first sample), and the remainder opens
+        the window carried to the next call.  A failing offset is the
+        last sample of the failing window (or of the buffer, when the
+        window is still open); the carried state then describes that
+        window, as if screening had stopped there.
+        """
+        n, w, pos = data.size, self.window, 0
+        if n == 0:
+            return None
+        if self._ref is not None:
+            take = min(w - self._seen, n)
+            self._count += int(np.count_nonzero(data[:take] == self._ref))
             self._seen += take
             if self._count >= self.cutoff:
-                return pos + take - 1
-            pos += take
-            if self._seen == self.window:
+                return take - 1
+            pos = take
+            if self._seen == w:
                 self._ref = None  # next sample opens a new window
+        k = (n - pos) // w
+        if k:
+            rows = data[pos : pos + k * w].reshape(k, w)
+            counts = (rows == rows[:, :1]).sum(axis=1)
+            bad = np.flatnonzero(counts >= self.cutoff)
+            if bad.size:
+                i = int(bad[0])
+                self._ref, self._seen, self._count = int(rows[i, 0]), w, int(counts[i])
+                return pos + (i + 1) * w - 1
+            self._seen, self._count = w, int(counts[-1])  # closed window's tally
+            pos += k * w
+        if pos < n:
+            tail = data[pos:]
+            self._ref = int(tail[0])
+            self._seen = tail.size
+            self._count = int(np.count_nonzero(tail == tail[0]))
+            if self._count >= self.cutoff:
+                return n - 1
         return None
 
 

@@ -27,12 +27,18 @@ one :class:`~repro.serve.engine.ServeEngine` and one
     health events, uptime — the service twin of
     :class:`~repro.gpu.multigpu.GenerationReport`.
 
-**Backpressure.**  Each stream response runs a producer task that fills
-a bounded ``asyncio.Queue`` (``queue_depth`` chunks) while the writer
-coroutine drains it through ``writer.drain()`` (socket watermarks).  A
-slow reader therefore throttles its own producer at ``queue_depth ×
-chunk`` buffered bytes; it never grows daemon memory and never slows
-other clients, whose producers run independently.
+**Backpressure.**  ``/v1/bytes`` and ``/v1/stream`` share one ordered
+chunk pipeline: up to ``queue_depth`` chunks of a response are in flight
+in the worker pool while this process verifies, screens and writes
+earlier ones, strictly in stream order, and each chunk is written
+through ``writer.drain()`` (socket watermarks) before the next is
+collected.  A slow reader therefore stalls its own pipeline at most
+``queue_depth × chunk`` bytes ahead of what the socket accepted; it
+never grows daemon memory and never slows other clients, whose
+pipelines run independently.  A chunk that still fails after the head
+went out (retries exhausted, no degradation) cancels the rest and closes
+the connection: the client sees a truncated body, never a second status
+line.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
 let in-flight requests finish (open-ended streams end at the next chunk
@@ -44,12 +50,15 @@ down with ``terminate()`` — no orphans.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import logging
 import signal
 import threading
 import time
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlsplit
 
@@ -77,6 +86,19 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _raw_frame(data: bytes) -> bytes:
+    return data
+
+
+def _hex_frame(data: bytes) -> bytes:
+    return data.hex().encode()
+
+
+def _chunked_frame(data: bytes) -> bytes:
+    """One HTTP/1.1 chunked-transfer frame."""
+    return b"%x\r\n" % len(data) + data + b"\r\n"
 
 
 @dataclass(frozen=True)
@@ -389,17 +411,94 @@ class ServeDaemon:
         }
 
     # -- data endpoints ----------------------------------------------------------
-    def _generate_async(self, offset: int, n: int):
-        """Run one supervised chunk generation off the event loop.
+    async def _pipeline(self, ranges: Iterator[tuple[int, int, int | None]]):
+        """Yield the chunks named by *ranges*, in stream order.
+
+        *ranges* yields ``(offset, n, lease_id)``; a non-``None``
+        ``lease_id`` is a one-chunk lease released once its chunk is
+        collected or cancelled.  Up to ``queue_depth`` chunks are in
+        flight in the pool; each is collected — CRC-checked, screened,
+        QA-observed, retried in place — on an executor thread, strictly
+        in order.  The consumer's ``writer.drain()`` between yields is the
+        backpressure: a stalled reader stops the pipeline at most
+        ``queue_depth`` chunks ahead of what it handed the socket.  When
+        the consumer stops (finished, failed, disconnected), chunks still
+        in flight are cancelled.
 
         The trace context is captured *here*, on the loop, and passed as
         an explicit argument: contextvars do not propagate into
         ``run_in_executor`` threads.
         """
         wire = trace_context.current_wire()
-        return self._loop.run_in_executor(
-            None, self.engine.generate_range, offset, n, next(self._chunk_seq), wire
-        )
+        window: deque = deque()  # (ticket, lease_id), in stream order
+        try:
+            while True:
+                while len(window) < self.config.queue_depth:
+                    item = next(ranges, None)
+                    if item is None:
+                        break
+                    offset, n, lease_id = item
+                    ticket = self.engine.submit(offset, n, next(self._chunk_seq), wire)
+                    window.append((ticket, lease_id))
+                if not window:
+                    return
+                ticket, lease_id = window.popleft()
+                try:
+                    data = await self._loop.run_in_executor(None, self.engine.collect, ticket)
+                finally:
+                    if lease_id is not None:
+                        self.leases.release(lease_id)
+                yield data
+        finally:
+            for ticket, lease_id in window:
+                self.engine.cancel(ticket)
+                if lease_id is not None:
+                    self.leases.release(lease_id)
+
+    @staticmethod
+    def _split(offset: int, n: int, chunk: int) -> Iterator[tuple[int, int, None]]:
+        """``(offset, length, None)`` pieces of at most *chunk* bytes."""
+        end = offset + n
+        for start in range(offset, end, chunk):
+            yield start, min(chunk, end - start), None
+
+    async def _send_body(self, writer: asyncio.StreamWriter, head: bytes, chunks, frame) -> bool:
+        """Write *head*, then each chunk of *chunks* through *frame*.
+
+        The head waits for the first chunk, so a request whose first
+        chunk fails still gets a clean error status (the exception
+        propagates to :meth:`_dispatch`).  Once the head is out a failure
+        cannot change the status line: the pipeline's in-flight chunks
+        are cancelled and ``False`` tells the caller to close the
+        connection, which the client sees as a truncated body.
+        """
+        sent = 0  # body bytes handed to the socket
+        high_water = writer.transport.get_write_buffer_limits()[1]
+        async with contextlib.aclosing(chunks):
+            try:
+                async for data in chunks:
+                    writer.write(frame(data) if sent else head + frame(data))
+                    sent += len(data)
+                    if writer.transport.get_write_buffer_size() > high_water:
+                        obs.inc("repro_serve_backpressure_waits_total")  # drain will wait
+                    await writer.drain()
+                    self._bytes_served += len(data)
+                    obs.inc("repro_serve_bytes_total", len(data))
+            except (ConnectionResetError, BrokenPipeError):
+                raise
+            except Exception as exc:
+                if not sent:
+                    raise
+                logger.warning(
+                    "aborting response after %d body bytes: %s", sent, exc, exc_info=True
+                )
+                obs.inc("repro_serve_aborted_responses_total", 1, error=type(exc).__name__)
+                flight.record("response-aborted", sent=sent, error=str(exc))
+                flight.dump("aborted")
+                return False
+        if not sent:
+            writer.write(head)
+        return True
 
     async def _serve_bytes(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
         try:
@@ -411,32 +510,27 @@ class ServeDaemon:
             raise SpecificationError("format must be 'raw' or 'hex'")
         peer = writer.get_extra_info("peername")
         lease = self.leases.acquire(n, client=str(peer))
-        extra = {
-            "X-Repro-Lease-Id": str(lease.lease_id),
-            "X-Repro-Lease-Offset": str(lease.offset),
-            "X-Repro-Lease-Length": str(lease.length),
-            "X-Repro-Algorithm": self.engine.config.algorithm,
-            **self._trace_headers(request),
-        }
-        content_length = 2 * n + 1 if fmt == "hex" else n
-        content_type = "text/plain" if fmt == "hex" else "application/octet-stream"
-        writer.write(self._head(200, content_type, extra, content_length=content_length))
-        # stream the body in engine-sized chunks with socket backpressure;
-        # hex chunks concatenate to the hex of the whole payload
-        offset, remaining = lease.offset, n
-        while remaining:
-            take = min(self.config.chunk_bytes, remaining)
-            data = await self._generate_async(offset, take)
-            writer.write(data.hex().encode() if fmt == "hex" else data)
-            await writer.drain()
-            offset += take
-            remaining -= take
-            self._bytes_served += take
-            obs.inc("repro_serve_bytes_total", take)
-        if fmt == "hex":
-            writer.write(b"\n")
-            await writer.drain()
-        self.leases.release(lease.lease_id)
+        try:
+            extra = {
+                "X-Repro-Lease-Id": str(lease.lease_id),
+                "X-Repro-Lease-Offset": str(lease.offset),
+                "X-Repro-Lease-Length": str(lease.length),
+                "X-Repro-Algorithm": self.engine.config.algorithm,
+                **self._trace_headers(request),
+            }
+            content_length = 2 * n + 1 if fmt == "hex" else n
+            content_type = "text/plain" if fmt == "hex" else "application/octet-stream"
+            head = self._head(200, content_type, extra, content_length=content_length)
+            # hex chunks concatenate to the hex of the whole payload
+            frame = _hex_frame if fmt == "hex" else _raw_frame
+            chunks = self._pipeline(self._split(lease.offset, n, self.config.chunk_bytes))
+            if not await self._send_body(writer, head, chunks, frame):
+                return False
+            if fmt == "hex":
+                writer.write(b"\n")
+                await writer.drain()
+        finally:
+            self.leases.release(lease.lease_id)
         obs.inc("repro_serve_requests_total", 1, status=200)
         return True
 
@@ -453,63 +547,35 @@ class ServeDaemon:
             "X-Repro-Algorithm": self.engine.config.algorithm,
             **self._trace_headers(request),
         }
-        bounded = total is not None
-        if bounded:
+        lease = None
+        if total is not None:
             lease = self.leases.acquire(total, client=peer)
             extra["X-Repro-Lease-Id"] = str(lease.lease_id)
             extra["X-Repro-Lease-Offset"] = str(lease.offset)
             extra["X-Repro-Lease-Length"] = str(lease.length)
-        writer.write(self._head(200, "application/octet-stream", extra, chunked=True))
-
-        queue: asyncio.Queue[bytes | None] = asyncio.Queue(self.config.queue_depth)
+            ranges = self._split(lease.offset, total, chunk)
+        else:
+            ranges = self._open_ended(chunk, peer)
+        head = self._head(200, "application/octet-stream", extra, chunked=True)
         self._active_streams += 1
         obs.set_gauge("repro_serve_active_streams", self._active_streams)
-
-        async def produce() -> None:
-            try:
-                if bounded:
-                    offset, remaining = lease.offset, total
-                    while remaining:
-                        take = min(chunk, remaining)
-                        data = await self._generate_async(offset, take)
-                        if queue.full():
-                            obs.inc("repro_serve_backpressure_waits_total")
-                        await queue.put(data)
-                        offset += take
-                        remaining -= take
-                else:
-                    # open-ended: lease chunk by chunk until drain/disconnect
-                    while not self._draining:
-                        piece = self.leases.acquire(chunk, client=peer)
-                        data = await self._generate_async(piece.offset, chunk)
-                        self.leases.release(piece.lease_id)
-                        if queue.full():
-                            obs.inc("repro_serve_backpressure_waits_total")
-                        await queue.put(data)
-            finally:
-                await queue.put(None)  # end-of-stream sentinel
-
-        producer = asyncio.create_task(produce())
         try:
-            while True:
-                data = await queue.get()
-                if data is None:
-                    break
-                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+            if await self._send_body(writer, head, self._pipeline(ranges), _chunked_frame):
+                writer.write(b"0\r\n\r\n")
                 await writer.drain()
-                self._bytes_served += len(data)
-                obs.inc("repro_serve_bytes_total", len(data))
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+                obs.inc("repro_serve_requests_total", 1, status=200)
         finally:
-            producer.cancel()
-            await asyncio.gather(producer, return_exceptions=True)
-            if bounded:
+            if lease is not None:
                 self.leases.release(lease.lease_id)
             self._active_streams -= 1
             obs.set_gauge("repro_serve_active_streams", self._active_streams)
-        obs.inc("repro_serve_requests_total", 1, status=200)
         return False  # one stream per connection
+
+    def _open_ended(self, chunk: int, peer: str) -> Iterator[tuple[int, int, int]]:
+        """One-chunk leases, granted as the pipeline asks, until drain."""
+        while not self._draining:
+            piece = self.leases.acquire(chunk, client=peer)
+            yield piece.offset, chunk, piece.lease_id
 
     # -- operational endpoints ---------------------------------------------------
     async def _serve_healthz(self, writer: asyncio.StreamWriter) -> bool:

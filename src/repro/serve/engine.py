@@ -16,6 +16,11 @@ machinery the batch layers built:
   pool-per-round: a long-lived service cannot pay pool startup per
   request, and a worker that crashes is replaced by the pool while the
   chunk is retried elsewhere — the lease is effectively reassigned;
+* **pipelining** — :meth:`ServeEngine.submit` starts a chunk's pool
+  attempt and :meth:`ServeEngine.collect` accepts it (verify, screen,
+  QA, retry in place), so a caller can keep several chunks in flight
+  and still accept them in stream order; :meth:`ServeEngine.generate_range`
+  is the one-chunk case;
 * **fault injection** — workers honour ``REPRO_FAULT_PLAN``
   (:class:`~repro.robust.faults.FaultPlan`) keyed by ``(chunk_id,
   attempt)``, so drills can crash a worker or wedge a payload
@@ -51,12 +56,12 @@ from repro.core.generator import BSRNG
 from repro.errors import DeviceFailureError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs import flight
-from repro.obs.tracing import SpanCollector, span
+from repro.obs.tracing import DetachedSpan, SpanCollector, detached_span
 from repro.robust.faults import FaultPlan
 from repro.robust.health import AdaptiveProportionTest, RepetitionCountTest
 from repro.robust.supervisor import SupervisorConfig, payload_crc
 
-__all__ = ["StreamConfig", "RangeSource", "HealthState", "ServeEngine"]
+__all__ = ["StreamConfig", "RangeSource", "HealthState", "ChunkTicket", "ServeEngine"]
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,17 @@ class EngineStats:
         return dict(vars(self))
 
 
+@dataclass
+class ChunkTicket:
+    """One chunk between :meth:`ServeEngine.submit` and its collection."""
+
+    chunk_id: int  #: FaultPlan partition key
+    offset: int
+    n: int
+    span: DetachedSpan | None  #: ``serve.chunk``, dispatch to acceptance
+    pending: multiprocessing.pool.AsyncResult | None = None  #: running pool attempt
+
+
 class ServeEngine:
     """Generate lease ranges through a persistent supervised worker pool.
 
@@ -425,90 +441,132 @@ class ServeEngine:
                 setattr(self.stats, name, getattr(self.stats, name) + d)
 
     # -- dispatch ----------------------------------------------------------------
-    def generate_range(self, offset: int, n: int, chunk_id: int = 0, trace=None) -> bytes:
-        """The stream bytes ``[offset, offset + n)``, supervised.
+    def submit(self, offset: int, n: int, chunk_id: int = 0, trace=None) -> ChunkTicket:
+        """Dispatch the stream bytes ``[offset, offset + n)`` without waiting.
 
-        Attempts the chunk through the pool (timeout, retry with backoff,
-        CRC verification, health screening); falls back to inline
-        generation when the pool is exhausted and degradation is
-        enabled.  Raises :class:`~repro.errors.DeviceFailureError` only
-        when every path failed.  Safe to call from many threads — the
-        persistent pool multiplexes, and the inline fallback serialises
-        on the generator lock.
+        On the pool the chunk's first attempt starts at once; the caller
+        later hands the ticket to :meth:`collect` (or :meth:`cancel`).
+        Submitting several chunks before collecting them in order is the
+        daemon's pipeline: the pool generates ahead while this process
+        verifies, screens and writes earlier chunks.
 
         *trace* re-activates a caller's ``(trace_id, span_id)`` wire pair
-        — the daemon captures it on the event loop and passes it here
-        because contextvars do not follow ``run_in_executor``.
+        as the parent of the chunk's ``serve.chunk`` span — the daemon
+        captures it on the event loop because contextvars do not follow
+        ``run_in_executor``.
         """
-        if n == 0:
-            return b""
-        cfg = self.supervision
         if trace is not None:
             entry = trace_context.activate(trace_context.TraceContext.from_wire(trace))
         else:
             entry = contextlib.nullcontext()
-        with entry, span("serve.chunk", chunk=chunk_id, offset=offset, n=n):
-            wire = trace_context.current_wire() if obs.active_tracer() else None
-            job = (chunk_id, self.config, offset, n, cfg.verify_crc, wire)
-            if self._fleet is not None:
-                try:
-                    data = self._fleet.read_range(offset, n)
-                except DeviceFailureError:
-                    # the fleet is gone and refused to degrade; the engine
-                    # still owes the caller deterministic bytes
-                    if not cfg.degrade_sequential:
-                        raise
-                    self._count(degraded=1)
-                    obs.inc("repro_serve_degraded_chunks_total")
-                    data = self._inline_source().read_range(offset, n)
-                # the fleet screens per worker (and evicts); this screen
-                # latches the service-wide /healthz verdict
-                if self.screen and self.health.screen(data) is not None:
-                    self._count(screen_rejects=1)
-                self._count(chunks_ok=1)
-                self._observe_qa(data)
-                return data
-            if self._pool is not None:
-                for attempt in range(cfg.max_retries + 1):
-                    if attempt:
-                        time.sleep(cfg.backoff(attempt))
-                        self._count(retries=1)
-                        obs.inc("repro_serve_chunk_retries_total")
-                    data = self._attempt_pool(job, attempt, cfg)
-                    if data is not None:
-                        self._count(chunks_ok=1)
-                        self._observe_qa(data)
-                        return data
+        with entry:
+            chunk_span = detached_span("serve.chunk", chunk=chunk_id, offset=offset, n=n)
+        ticket = ChunkTicket(chunk_id, offset, n, chunk_span)
+        if self._pool is not None and n:
+            ticket.pending = self._dispatch(ticket, 0)
+        return ticket
+
+    def collect(self, ticket: ChunkTicket) -> bytes:
+        """The submitted chunk's bytes, supervised.
+
+        Waits for the pool attempt (timeout), verifies its CRC receipt,
+        screens and QA-observes it — so callers that collect in stream
+        order screen in stream order — and retries a failed attempt in
+        place with backoff.  Falls back to inline generation when the
+        pool is exhausted and degradation is enabled.  Raises
+        :class:`~repro.errors.DeviceFailureError` only when every path
+        failed.  Safe to call from many threads (one ticket each): the
+        persistent pool multiplexes, and the inline fallback serialises
+        on the generator lock.
+        """
+        if ticket.n == 0:
+            return b""
+        if ticket.span is None:
+            return self._accept(ticket)
+        try:
+            with trace_context.activate(ticket.span.context):
+                return self._accept(ticket)
+        finally:
+            ticket.span.finish()
+
+    def cancel(self, ticket: ChunkTicket) -> None:
+        """Abandon an uncollected ticket; a pool attempt still running
+        finishes unobserved (its bytes are never screened or served)."""
+        if ticket.span is not None:
+            ticket.span.finish(cancelled=True)
+
+    def generate_range(self, offset: int, n: int, chunk_id: int = 0, trace=None) -> bytes:
+        """The stream bytes ``[offset, offset + n)``: one chunk submitted
+        and collected (see :meth:`submit` and :meth:`collect`)."""
+        return self.collect(self.submit(offset, n, chunk_id, trace))
+
+    def _accept(self, ticket: ChunkTicket) -> bytes:
+        cfg = self.supervision
+        if self._fleet is not None:
+            try:
+                data = self._fleet.read_range(ticket.offset, ticket.n)
+            except DeviceFailureError:
+                # the fleet is gone and refused to degrade; the engine
+                # still owes the caller deterministic bytes
                 if not cfg.degrade_sequential:
-                    raise DeviceFailureError(
-                        f"chunk {chunk_id} (offset {offset}, {n} bytes) failed "
-                        f"{cfg.max_retries + 1} pool attempts"
-                    )
+                    raise
                 self._count(degraded=1)
                 obs.inc("repro_serve_degraded_chunks_total")
-            # inline path: workers disabled, or pool exhausted (degrade).
-            # The inline stream is deterministic and fault-free, so a
-            # screening failure here latches the verdict but cannot be
-            # retried away — the bytes are served and /healthz tells the
-            # operator the generator itself is suspect.
-            data = self._inline_source().read_range(offset, n)
+                data = self._inline_source().read_range(ticket.offset, ticket.n)
+            # the fleet screens per worker (and evicts); this screen
+            # latches the service-wide /healthz verdict
             if self.screen and self.health.screen(data) is not None:
                 self._count(screen_rejects=1)
             self._count(chunks_ok=1)
             self._observe_qa(data)
             return data
+        if self._pool is not None:
+            for attempt in range(cfg.max_retries + 1):
+                if attempt:
+                    time.sleep(cfg.backoff(attempt))
+                    self._count(retries=1)
+                    obs.inc("repro_serve_chunk_retries_total")
+                    ticket.pending = self._dispatch(ticket, attempt)
+                data = self._await_attempt(ticket, cfg)
+                if data is not None:
+                    self._count(chunks_ok=1)
+                    self._observe_qa(data)
+                    return data
+            if not cfg.degrade_sequential:
+                raise DeviceFailureError(
+                    f"chunk {ticket.chunk_id} (offset {ticket.offset}, {ticket.n} bytes) "
+                    f"failed {cfg.max_retries + 1} pool attempts"
+                )
+            self._count(degraded=1)
+            obs.inc("repro_serve_degraded_chunks_total")
+        # inline path: workers disabled, or pool exhausted (degrade).
+        # The inline stream is deterministic and fault-free, so a
+        # screening failure here latches the verdict but cannot be
+        # retried away — the bytes are served and /healthz tells the
+        # operator the generator itself is suspect.
+        data = self._inline_source().read_range(ticket.offset, ticket.n)
+        if self.screen and self.health.screen(data) is not None:
+            self._count(screen_rejects=1)
+        self._count(chunks_ok=1)
+        self._observe_qa(data)
+        return data
 
     def _observe_qa(self, data: bytes) -> None:
         """Hand an accepted chunk to the QA sidecar (non-blocking)."""
         if self.qa is not None:
             self.qa.observe(data)
 
-    def _attempt_pool(self, job: tuple, attempt: int, cfg: SupervisorConfig) -> bytes | None:
-        """One pool attempt; ``None`` means retry (reason counted)."""
-        chunk_id, _, offset, n, verify = job[:5]
-        handle = self._pool.apply_async(_serve_chunk, (job, attempt))
+    def _dispatch(self, ticket: ChunkTicket, attempt: int) -> multiprocessing.pool.AsyncResult:
+        """Start one pool attempt of *ticket*'s chunk."""
+        wire = ticket.span.context.to_wire() if ticket.span is not None else None
+        job = (ticket.chunk_id, self.config, ticket.offset, ticket.n,
+               self.supervision.verify_crc, wire)
+        return self._pool.apply_async(_serve_chunk, (job, attempt))
+
+    def _await_attempt(self, ticket: ChunkTicket, cfg: SupervisorConfig) -> bytes | None:
+        """Wait for the pending pool attempt; ``None`` means retry (reason counted)."""
         try:
-            data, crc, spans = handle.get(cfg.timeout)
+            data, crc, spans = ticket.pending.get(cfg.timeout)
         except mp.TimeoutError:
             self._count(timeouts=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="timeout")
@@ -522,10 +580,10 @@ class ServeEngine:
             tracer = obs.active_tracer()
             if tracer is not None:
                 tracer.merge(spans)
-        if verify and (crc is None or payload_crc(data) != crc):
+        if cfg.verify_crc and (crc is None or payload_crc(data) != crc):
             self._count(crc_rejects=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="corrupt")
-            flight.record("crc-reject", chunk=chunk_id, offset=offset, n=n)
+            flight.record("crc-reject", chunk=ticket.chunk_id, offset=ticket.offset, n=ticket.n)
             flight.dump("crc")
             return None
         if self.screen and self.health.screen(data) is not None:

@@ -4,6 +4,8 @@ raise/degrade semantics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.generator import BSRNG
 from repro.errors import HealthTestError, SpecificationError
@@ -190,3 +192,106 @@ class TestHealthMonitoredBSRNG:
         assert a.random_bytes(64) == b.random_bytes(64)
         a.reseed()
         assert a.seed != b.seed  # reseed count separates the streams
+
+
+# -- differential: vectorised screens vs a per-sample scalar oracle ---------------
+class _ScalarRCT:
+    """Per-sample oracle for :class:`RepetitionCountTest`."""
+
+    def __init__(self, cutoff: int) -> None:
+        self.cutoff = cutoff
+        self.reset()
+
+    def reset(self) -> None:
+        self._last, self._run = None, 0
+
+    def update(self, data) -> int | None:
+        fail = None
+        for i, x in enumerate(data.tolist()):
+            if x == self._last:
+                self._run += 1
+            else:
+                self._last, self._run = x, 1
+            if fail is None and self._run >= self.cutoff:
+                fail = i
+        return fail
+
+
+class _ScalarAPT:
+    """Per-sample oracle for :class:`AdaptiveProportionTest`: the verdict
+    is taken where a window closes or the buffer ends, so a failing
+    offset is the last sample of that window, or of the buffer."""
+
+    def __init__(self, cutoff: int, window: int = APT_WINDOW) -> None:
+        self.cutoff, self.window = cutoff, window
+        self.reset()
+
+    def reset(self) -> None:
+        self._ref, self._seen, self._count = None, 0, 0
+
+    def update(self, data) -> int | None:
+        last = data.size - 1
+        for i, x in enumerate(data.tolist()):
+            if self._ref is None:
+                self._ref, self._seen, self._count = x, 1, 1
+                continue  # the opening sample is never a verdict point
+            self._seen += 1
+            self._count += x == self._ref
+            if self._seen == self.window or i == last:
+                if self._count >= self.cutoff:
+                    return i
+                if self._seen == self.window:
+                    self._ref = None
+        return None
+
+
+#: (alpha, entropy_per_sample) pairs spanning RCT cutoffs 2 .. 41 and APT
+#: cutoffs from a handful up to most of the window
+_SCREEN_PARAMS = [(0.3, 8.0), (2.0**-20, 8.0), (2.0**-30, 8.0), (2.0**-20, 2.0),
+                  (2.0**-30, 1.0), (2.0**-20, 0.5)]
+
+
+@st.composite
+def _screened_streams(draw):
+    alpha, h = draw(st.sampled_from(_SCREEN_PARAMS))
+    alphabet = draw(st.integers(2, 256))
+    size = draw(st.integers(0, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed).integers(0, alphabet, size, dtype=np.uint8)
+    # arbitrary seams, and seams on window boundaries of a fresh stream
+    seams = st.one_of(st.integers(0, size), st.integers(0, size // APT_WINDOW).map(
+        lambda k: k * APT_WINDOW))
+    cuts = sorted(draw(st.lists(seams, max_size=8)))
+    for seam in cuts:  # constant runs planted across chunk seams
+        if draw(st.booleans()):
+            length = draw(st.integers(1, 45))
+            start = max(0, seam - draw(st.integers(0, length)))
+            data[start : start + length] = draw(st.integers(0, alphabet - 1))
+    chunks = [data[a:b] for a, b in zip([0, *cuts], [*cuts, size])]
+    return alpha, h, chunks
+
+
+class TestVectorisedScreensMatchScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_screened_streams())
+    def test_fail_offsets_and_carried_state(self, case):
+        alpha, h, chunks = case
+        rct, apt = RepetitionCountTest(alpha, h), AdaptiveProportionTest(alpha, h)
+        o_rct, o_apt = _ScalarRCT(rct.cutoff), _ScalarAPT(apt.cutoff)
+        # the production call pattern (HealthState.screen): APT runs only
+        # when RCT passed, and any failure resets both tests
+        for chunk in chunks:
+            got, want = rct.update(chunk), o_rct.update(chunk)
+            assert got == want
+            assert (rct._last, rct._run) == (o_rct._last, o_rct._run)
+            if got is None:
+                got, want = apt.update(chunk), o_apt.update(chunk)
+                assert got == want
+                assert (apt._ref, apt._seen, apt._count) == (
+                    o_apt._ref,
+                    o_apt._seen,
+                    o_apt._count,
+                )
+            if got is not None:
+                for test in (rct, apt, o_rct, o_apt):
+                    test.reset()

@@ -247,6 +247,118 @@ class TestLoadgenClient:
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
 
 
+def _wait_for(predicate, timeout: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+class TestChunkPipeline:
+    def test_chunks_are_screened_in_stream_order(self, monkeypatch):
+        # the lease's first chunk sleeps in one worker while the other
+        # worker finishes the chunks behind it: acceptance (CRC, screen,
+        # QA) must still run in stream order
+        plan = FaultPlan(faults=(Fault(kind="delay", partition=0, attempt=0, delay=1.0),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        with running_daemon(workers=2, queue_depth=4) as (daemon, base):
+            health = daemon.engine.health
+            screened: list[bytes] = []
+            real_screen = health.screen
+
+            def recording_screen(data):
+                screened.append(bytes(data))
+                return real_screen(data)
+
+            health.screen = recording_screen
+            _, headers, body = get(f"{base}/v1/bytes?n=16384")
+        offset = int(headers["X-Repro-Lease-Offset"])
+        assert body == offline_bytes(offset, 16384)
+        assert len(screened) == 8
+        at = offset
+        for piece in screened:
+            assert piece == offline_bytes(at, len(piece)), f"chunk at {at} screened out of order"
+            at += len(piece)
+        assert at == offset + 16384
+
+    def test_stalled_bytes_reader_stops_generation_queue_depth_ahead(self):
+        # a daemon of its own: 16 MiB of stream would carry the shared
+        # daemon past an RCT false positive at the 2^-20 cutoff
+        total = 16 << 20  # far beyond transport high-water + kernel buffers
+        with running_daemon() as (d, _):
+            submitted = []
+            real_submit = d.engine.submit
+
+            def recording_submit(offset, n, *args):
+                submitted.append(n)
+                return real_submit(offset, n, *args)
+
+            d.engine.submit = recording_submit
+            with socket.create_connection(("127.0.0.1", d.bound_port), timeout=30) as sock:
+                sock.sendall(b"GET /v1/bytes?n=%d HTTP/1.1\r\nHost: x\r\n\r\n" % total)
+                # do not read: the pipeline must stall with at most
+                # queue_depth chunks generated beyond what the socket took
+                stalled, deadline = -1, time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    time.sleep(0.5)
+                    served = d.status()["server"]["bytes_served"]
+                    if served == stalled:
+                        break
+                    stalled = served
+                ahead = sum(submitted) - stalled
+                assert stalled < total, "the daemon served a reader that never read"
+                assert 0 < ahead <= d.config.queue_depth * d.config.chunk_bytes
+            # the reader hung up mid-body: its lease must not stay active
+            assert _wait_for(lambda: d.status()["leases"]["active"] == 0)
+
+    def test_failure_of_first_chunk_is_a_clean_503(self, monkeypatch):
+        plan = FaultPlan(
+            faults=tuple(Fault(kind="crash", partition=0, attempt=a) for a in range(3))
+        )
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        supervision = SupervisorConfig(
+            timeout=60.0, max_retries=2, verify_crc=True, degrade_sequential=False
+        )
+        with running_daemon(workers=1, supervision=supervision) as (daemon, base):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                get(f"{base}/v1/bytes?n=3000")
+            assert err.value.code == 503
+            assert daemon.status()["leases"]["active"] == 0
+
+    def test_failure_after_head_closes_connection_and_releases_lease(self, monkeypatch):
+        # chunk 1 of 3 fails every pool attempt and degradation is off:
+        # the 200 head and chunk 0 are already out, so the daemon must cut
+        # the connection (truncated body), not write a second status line
+        plan = FaultPlan(
+            faults=tuple(Fault(kind="crash", partition=1, attempt=a) for a in range(3))
+        )
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        supervision = SupervisorConfig(
+            timeout=60.0, max_retries=2, verify_crc=True, degrade_sequential=False
+        )
+        with running_daemon(workers=1, chunk_bytes=1024, supervision=supervision) as (
+            daemon,
+            base,
+        ):
+            with socket.create_connection(("127.0.0.1", daemon.bound_port), timeout=30) as sock:
+                sock.sendall(b"GET /v1/bytes?n=3000 HTTP/1.1\r\nHost: x\r\n\r\n")
+                received = b""
+                while piece := sock.recv(65536):  # until the daemon closes
+                    received += piece
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            assert b"Content-Length: 3000" in head
+            assert body == offline_bytes(0, 1024), "exactly chunk 0, then the cut"
+            assert _wait_for(lambda: daemon.status()["leases"]["active"] == 0)
+            assert daemon.engine.status()["chunks"]["worker_errors"] == 3
+            # the daemon keeps serving afterwards
+            status, headers, body = get(f"{base}/v1/bytes?n=100")
+            assert status == 200
+            assert body == offline_bytes(int(headers["X-Repro-Lease-Offset"]), 100)
+
+
 class TestFaultDrills:
     def test_stuck_fault_degrades_and_latches_healthz(self, monkeypatch):
         # chunk 0, attempt 0 returns all-zero bytes: the RCT screen must
