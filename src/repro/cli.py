@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--alpha", type=float, default=2.0**-20,
-        help="health-screen false-positive rate (default 2^-20)",
+        help="false-positive rate of the service-wide /healthz screen "
+        "(default 2^-20); a --fleet keeps its own per-worker eviction "
+        "screen at 2^-30",
     )
     serve.add_argument(
         "--qa", action="store_true",
@@ -657,8 +659,8 @@ def _cmd_selftest(args) -> int:
         print("startup self-test (FIPS 140-2, 20,000 bits): pass")
         print(f"  {mon.startup_report.to_table()}".replace("\n", "\n  "))
         print(
-            f"continuous tests: RCT cutoff {mon.rct.cutoff}, "
-            f"APT cutoff {mon.apt.cutoff}/{mon.apt.window}"
+            f"continuous tests: RCT cutoff {mon.screen.rct.cutoff}, "
+            f"APT cutoff {mon.screen.apt.cutoff}/{mon.screen.apt.window}"
         )
         chunk = 1 << 16
         remaining = args.n_bytes
@@ -827,17 +829,11 @@ def _cmd_qa(args) -> int:
     return 0 if evaluator.healthy else 1
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-    import logging
+def _stream_config(args):
+    """The served stream's :class:`~repro.serve.engine.StreamConfig` from CLI args."""
+    from repro.serve.engine import StreamConfig
 
-    from repro.robust.supervisor import SupervisorConfig
-    from repro.serve import DaemonConfig, ServeDaemon, ServeEngine, StreamConfig
-
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-    stream = StreamConfig(
+    return StreamConfig(
         algorithm=args.algorithm,
         seed=args.seed,
         lanes=args.lanes,
@@ -845,6 +841,19 @@ def _cmd_serve(args) -> int:
         fused=args.fused,
         clocks_per_call=args.clocks_per_call,
     )
+
+
+def _cmd_serve(args) -> int:
+    import asyncio
+    import logging
+
+    from repro.robust.supervisor import SupervisorConfig
+    from repro.serve import DaemonConfig, ServeDaemon, ServeEngine
+
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
+    )
+    stream = _stream_config(args)
     fleet_config = None
     if args.fleet > 0:
         from repro.fleet import FleetConfig
@@ -856,7 +865,6 @@ def _cmd_serve(args) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             chunk_bytes=args.fleet_chunk_bytes or args.chunk_bytes,
             screen=not args.no_screen,
-            alpha=args.alpha,
         )
     qa_sidecar = None
     if args.qa:
@@ -927,16 +935,8 @@ def _cmd_fleet(args) -> int:
 
     from repro.fleet import FleetConfig, FleetController
     from repro.obs import span
-    from repro.serve.engine import StreamConfig
 
-    stream = StreamConfig(
-        algorithm=args.algorithm,
-        seed=args.seed,
-        lanes=args.lanes,
-        dtype=args.dtype,
-        fused=args.fused,
-        clocks_per_call=args.clocks_per_call,
-    )
+    stream = _stream_config(args)
     config = FleetConfig(
         workers=args.workers,
         max_workers=max(args.workers * 2, args.workers + 2),

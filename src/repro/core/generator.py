@@ -581,9 +581,10 @@ class BSRNG:
         :class:`repro.core.touch.Receipt` whose ``crc`` equals
         ``payload_crc(data)`` — computed chunk-by-chunk during the draw
         copy itself, so the bytes are never re-read cold for the
-        checksum.  Workers that ship chunks with integrity receipts
-        (fleet, multi-device) draw through this instead of pairing
-        :meth:`read` with a separate CRC pass.  Pass an existing
+        checksum.  Every worker that ships stream ranges with integrity
+        receipts — serve pool, fleet and multi-device, through the shared
+        :func:`repro.serve.engine.range_attempt` — draws through this
+        instead of pairing :meth:`read` with a separate CRC pass.  Pass an existing
         :class:`~repro.core.touch.StreamTouch` as *touch* to accumulate
         across calls; its running state is folded in (the receipt then
         covers everything the touch has seen).

@@ -74,8 +74,8 @@ class TouchedPayload:
     """A payload whose receipt was computed while the bytes were hot.
 
     Worker ``produce`` callables return this instead of raw bytes to
-    tell :func:`repro.robust.supervisor.worker_attempt` that the CRC is
-    already known — the attempt shell then skips its own (cold) CRC
+    tell :func:`repro.robust.supervisor.attempt_shell` that the CRC is
+    already known — the shell then skips its own (cold) CRC
     pass.  The CRC covers the payload's canonical byte form, same
     convention as ``payload_crc``.
     """

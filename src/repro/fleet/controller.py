@@ -14,8 +14,9 @@ full of anonymous workers into *supervised membership*:
   than``); messages are always processed before deadlines are checked,
   so a racing heartbeat wins.
 * **Screening** composes the SP 800-90B continuous health tests of
-  :mod:`repro.robust.health` (one RCT/APT pair *per worker*, so one sick
-  member cannot poison a healthy peer's screen) with the CRC receipt
+  :mod:`repro.robust.health` (one :class:`~repro.robust.health.HealthScreen`
+  *per worker*, so one sick member cannot poison a healthy peer's
+  screen) with the CRC receipt
   verification of :mod:`repro.robust.supervisor`.  A failed screen
   evicts immediately; CRC mismatches accumulate strikes first (a single
   flipped byte on a transfer is retryable, a bleeding worker is not).
@@ -54,8 +55,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro import obs
 from repro.core.ring import SharedMemoryRing
 from repro.errors import DeviceFailureError, SpecificationError
@@ -63,7 +62,7 @@ from repro.obs import context as trace_context
 from repro.obs import flight
 from repro.obs.tracing import span
 from repro.robust.faults import FaultPlan
-from repro.robust.health import AdaptiveProportionTest, RepetitionCountTest
+from repro.robust.health import HealthScreen
 from repro.robust.supervisor import payload_crc
 from repro.serve.engine import RangeSource, StreamConfig
 from repro.serve.leases import LeaseManager
@@ -270,7 +269,7 @@ class FleetController:
         self._assigned: dict[int, tuple[ChunkJob, int, float]] = {}
         self._results: dict[int, bytes] = {}
         self._done: set[int] = set()  # job ids accepted (at most once each)
-        self._screens: dict[int, tuple[RepetitionCountTest, AdaptiveProportionTest]] = {}
+        self._screens: dict[int, HealthScreen] = {}  # one per member
         self._inline: RangeSource | None = None  # degraded-mode generator
         # ring slot pool: a slot belongs to a job from dispatch until its
         # result is accepted or the assignment is torn down (requeue,
@@ -447,12 +446,9 @@ class FleetController:
         payload = msg.payload
         if msg.ref is not None and self._ring is not None:
             try:
-                payload = self._ring.read(msg.ref)
+                payload = self._ring.resolve(msg.ref)
             except SpecificationError:
                 payload = b""  # nonsense ref: fails the length check below
-            if obs.metrics_enabled():
-                obs.inc("repro_ring_slot_writes_total", 1)
-                obs.inc("repro_ring_payload_bytes_total", len(payload))
         elif payload and obs.metrics_enabled():
             obs.inc("repro_result_pickled_payload_bytes_total", len(payload))
         if len(payload) != job.length:
@@ -462,7 +458,9 @@ class FleetController:
             if payload_crc(payload) != msg.crc:
                 self._strike(member, job, now, "crc mismatch")
                 return
-        if self.config.screen and not self._screen_ok(member.worker_id, payload):
+        if self.config.screen and self._screens.setdefault(
+            member.worker_id, HealthScreen(self.config.alpha)
+        ).update(payload) is not None:
             # suspect output: do not accept, requeue, evict the member
             self._requeue(job)
             self._evict(member, "health", now)
@@ -502,26 +500,9 @@ class FleetController:
         if member.strikes >= self.config.max_strikes:
             self._evict(member, "corrupt", now)
 
-    def _screen_ok(self, worker_id: int, payload: bytes) -> bool:
-        rct, apt = self._screens.setdefault(
-            worker_id,
-            (
-                RepetitionCountTest(self.config.alpha),
-                AdaptiveProportionTest(self.config.alpha),
-            ),
-        )
-        data = np.frombuffer(payload, dtype=np.uint8)
-        return rct.update(data) is None and apt.update(data) is None
-
     def _requeue(self, job: ChunkJob) -> None:
         """Put a job back at the head of the queue, clearing its assignment."""
-        entry = self._assigned.pop(job.job_id, None)
-        if entry is not None:
-            _, owner, _ = entry
-            owner_info = self.members.get(owner)
-            if owner_info is not None:
-                owner_info.inflight.discard(job.job_id)
-        self._release_slot(job.job_id)
+        self._requeue_clear(job)
         self._pending.appendleft(job)
 
     # -- liveness and eviction ----------------------------------------------------
@@ -560,14 +541,13 @@ class FleetController:
         # reassign every inflight lease: back to the queue head so a
         # healthy peer regenerates the identical bytes
         for job_id in sorted(member.inflight):
-            entry = self._assigned.pop(job_id, None)
+            entry = self._assigned.get(job_id)
             if entry is None:
                 continue
             job, _, dispatched_at = entry
-            # safe to recycle: the carrier is killed below, before any
-            # reassignment can hand this slot to a new writer
-            self._release_slot(job_id)
-            self._pending.appendleft(job)
+            # safe to recycle its slot: the carrier is killed below,
+            # before any reassignment can hand the slot to a new writer
+            self._requeue(job)
             self.reassignments += 1
             obs.inc("repro_fleet_lease_reassignments_total")
             obs.observe("repro_fleet_drain_seconds", max(now - dispatched_at, 0.0))

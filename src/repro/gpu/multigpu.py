@@ -25,15 +25,13 @@ to exercise every recovery path.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
-from repro.core.ring import SharedMemoryRing, attach_ring
-from repro.core.touch import TouchedPayload
+from repro.core.ring import SharedMemoryRing
 from repro.errors import ModelError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs.tracing import span
@@ -44,6 +42,7 @@ from repro.robust.supervisor import (
     SupervisorReport,
     worker_attempt,
 )
+from repro.serve.engine import RangeSource, StreamConfig, range_attempt
 
 __all__ = [
     "partition_counter_space",
@@ -153,9 +152,9 @@ class GenerationReport:
         wall_s: float,
         supervisor: SupervisorReport,
         completed: set[int],
-        degraded_pids: set[int],
     ) -> "GenerationReport":
         """Assemble per-partition outcomes from a supervisor report."""
+        degraded_pids = {e.partition for e in supervisor.events if e.kind == "degraded"}
         partitions = []
         for pid in sorted(supervisor.attempts):
             attempts = supervisor.attempts[pid]
@@ -223,90 +222,80 @@ class GenerationReport:
         }
 
 
-def _merge_worker_metrics(report: SupervisorReport) -> None:
-    """Fold worker metric snapshots into the parent registry.
+class _SupervisedDevices:
+    """Supervision plumbing shared by the two partitioned generators."""
 
-    Each partition's series gain a ``partition=<id>`` label, so merged
-    metrics stay attributable after reconstruction.  No-op while the
-    parent has metrics disabled.
-    """
-    if not obs.metrics_enabled():
-        return
-    for pid, snap in sorted(report.worker_metrics.items()):
-        obs.registry().merge(snap, extra_labels={"partition": pid})
+    def _init_supervision(
+        self, mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
+    ) -> None:
+        self.mp_context = mp_context  # None: PartitionSupervisor's fork-preferring default
+        self.config = SupervisorConfig(
+            timeout=timeout,
+            max_retries=max_retries,
+            verify_crc=verify_crc,
+            degrade_sequential=degrade_sequential,
+        )
+        self.fault_plan = fault_plan
+        self.last_report = None
+
+    def _job_context(self) -> tuple[str | None, tuple | None]:
+        """``(plan_json, trace wire)`` every device job carries: contextvars
+        do not cross the pool boundary, so the trace context rides the
+        job explicitly (``None`` while tracing is off)."""
+        plan_json = self.fault_plan.to_json() if self.fault_plan is not None else None
+        return plan_json, trace_context.current_wire() if obs.active_tracer() else None
+
+    def _supervise(self, worker, make_jobs, parallel, job_size, job_unit, span_name,
+                   resolve=None, **span_args) -> dict:
+        """Run ``make_jobs()`` under a :class:`PartitionSupervisor` and record
+        :attr:`last_report`.  The jobs are built inside the *span_name*
+        span, so worker spans hang off it.  Worker metric snapshots are
+        folded into the parent registry (no-op while metrics are off),
+        each series labelled ``partition=<id>`` so it stays attributable."""
+        supervisor = PartitionSupervisor(worker, self.mp_context, self.config)
+        supervisor.resolve = resolve
+        t0 = time.perf_counter()
+        with span(span_name, algo=self.algorithm, devices=self.n_devices, **span_args):
+            results = supervisor.run(make_jobs(), parallel=parallel)
+        wall = time.perf_counter() - t0
+        if obs.metrics_enabled():
+            for pid, snap in sorted(supervisor.report.worker_metrics.items()):
+                obs.registry().merge(snap, extra_labels={"partition": pid})
+        self.last_report = GenerationReport.build(
+            self.algorithm, self.n_devices, job_size, job_unit, wall, supervisor.report,
+            completed=set(results),
+        )
+        return results
 
 
 def _device_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, dict | None]:
     """Generate one partition (runs in a worker process = one 'GPU').
 
-    The ``(payload, crc, metrics, spans)`` tuple shell — fault-plan
-    hooks, the scoped worker registry, CRC-before-corruption, span
-    collection under the caller's trace context — is the shared
-    :func:`~repro.robust.supervisor.worker_attempt`; this function only
-    contributes the counter-space generation body.
+    ``job`` is ``(device_id, stream, offset, n, verify_crc, plan_json,
+    trace, ring)``: the shared stream-range body
+    (:func:`~repro.serve.engine.range_attempt`) in the
+    :func:`~repro.robust.supervisor.worker_attempt` shell, over a fresh
+    generator.  Counter-based kernels (AES-CTR, the paper's §5.4
+    example) seek to the offset in O(1); LFSR-based kernels clock through
+    and discard, which caps their multi-device speedup — exactly why the
+    paper partitions *counter space* rather than a serial stream.
     """
-    (
-        device_id,
-        algorithm,
-        seed,
-        lanes,
-        start_block,
-        n_blocks,
-        block_bytes,
-        verify_crc,
-        plan_json,
-        fused,
-        clocks_per_call,
-    ) = job[:11]
-    trace = job[11] if len(job) > 11 else None
-    ring_spec = job[12] if len(job) > 12 else None
-    from repro.core.generator import BSRNG
+    device_id, stream, offset, n, verify_crc, plan_json, trace, ring = job
+    source = RangeSource(stream, max_streams=1)
 
-    def produce():
-        t0 = time.perf_counter()
-        rng = BSRNG(
-            algorithm, seed=seed, lanes=lanes, fused=fused, clocks_per_call=clocks_per_call
-        )
-        # Seek to this device's offset.  Counter-based kernels (AES-CTR, the
-        # paper's §5.4 example) jump in O(1); LFSR-based kernels clock through
-        # and discard, which caps their multi-device speedup — exactly why the
-        # paper partitions *counter space* rather than a serial stream.
-        rng.skip_bytes(start_block * block_bytes)
-        n = n_blocks * block_bytes
-        if verify_crc:
-            # single-touch: the receipt CRC folds into the draw copy
-            # instead of worker_attempt re-reading the payload cold
-            data, receipt = rng.read_with_receipt(n)
-            out = TouchedPayload(data, receipt.crc)
-        else:
-            out = data = rng.random_bytes(n)
-        rng.publish_metrics()
-        obs.set_gauge("repro_device_wall_seconds", time.perf_counter() - t0, device=device_id)
+    def account(wall: float) -> None:
+        source.publish_metrics()
+        obs.set_gauge("repro_device_wall_seconds", wall, device=device_id)
         obs.inc("repro_device_attempts_total", 1, device=device_id)
-        return out
 
-    payload, crc, metrics, spans = worker_attempt(
-        device_id,
-        attempt,
-        plan_json,
-        verify_crc,
-        produce,
-        trace=trace,
-        span_name="device.partition",
-        process_name=f"device-worker-{device_id}",
+    return range_attempt(
+        source, device_id, attempt, offset, n, FaultPlan.resolve(plan_json), verify_crc,
+        shell=worker_attempt, ring=ring, account=account, trace=trace,
+        span_name="device.partition", process_name=f"device-worker-{device_id}",
     )
-    if ring_spec is not None:
-        # park the payload (post-fault-injection, so drilled corruption
-        # reaches the verifying side exactly like a damaged transfer) in
-        # this partition's shared-memory slot and ship only the ref —
-        # zero payload bytes through the pickle machinery
-        ring_name, slot_bytes, slots, slot = ring_spec
-        if len(payload) <= slot_bytes:
-            payload = attach_ring(ring_name, slot_bytes, slots).write(slot, payload)
-    return payload, crc, metrics, spans
 
 
-class MultiDeviceGenerator:
+class MultiDeviceGenerator(_SupervisedDevices):
     """Partition a generation job across supervised process-backed devices.
 
     Parameters
@@ -363,45 +352,29 @@ class MultiDeviceGenerator:
         self.block_bytes = block_bytes
         self.fused = fused
         self.clocks_per_call = int(clocks_per_call)
-        self.use_ring = bool(use_ring)
-        # fork avoids re-importing the stack in every worker (a fixed
-        # ~second per device that would swamp small jobs); platforms
-        # without fork fall back to spawn.
-        if mp_context is None:
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self.mp_context = mp_context
-        self.config = SupervisorConfig(
-            timeout=timeout,
-            max_retries=max_retries,
-            verify_crc=verify_crc,
-            degrade_sequential=degrade_sequential,
+        #: The partitioned stream's identity — what every device job ships.
+        self.stream = StreamConfig(
+            algorithm, seed, lanes, fused=fused, clocks_per_call=self.clocks_per_call
         )
-        self.fault_plan = fault_plan
-        self.last_report = None
+        self.use_ring = bool(use_ring)
+        self._init_supervision(
+            mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
+        )
 
     def _jobs(self, total_blocks: int, ring: SharedMemoryRing | None = None) -> dict[int, tuple]:
-        plan_json = self.fault_plan.to_json() if self.fault_plan is not None else None
-        parts = partition_counter_space(total_blocks, self.n_devices)
-        # contextvars do not cross the pool boundary: the trace context
-        # rides the job tuple explicitly (None while tracing is off)
-        wire = trace_context.current_wire() if obs.active_tracer() else None
+        plan_json, wire = self._job_context()
         return {
             p.device_id: (
                 p.device_id,
-                self.algorithm,
-                self.seed,
-                self.lanes,
-                p.start_block,
-                p.n_blocks,
-                self.block_bytes,
+                self.stream,
+                p.start_block * self.block_bytes,
+                p.n_blocks * self.block_bytes,
                 self.config.verify_crc,
                 plan_json,
-                self.fused,
-                self.clocks_per_call,
                 wire,
+                (*ring.spec, p.device_id) if ring is not None else None,
             )
-            + (((*ring.spec, p.device_id),) if ring is not None else ())
-            for p in parts
+            for p in partition_counter_space(total_blocks, self.n_devices)
             if p.n_blocks > 0
         }
 
@@ -421,7 +394,6 @@ class MultiDeviceGenerator:
         if total_blocks == 0:
             # explicit empty-job fast path: no pool, no workers, no report
             return b""
-        supervisor = PartitionSupervisor(_device_worker, self.mp_context, self.config)
         ring = None
         if self.use_ring and parallel:
             # one slot per partition, sized for the largest one; a slot is
@@ -431,42 +403,20 @@ class MultiDeviceGenerator:
                      if p.n_blocks > 0]
             slot_bytes = max(p.n_blocks for p in parts) * self.block_bytes
             ring = SharedMemoryRing.try_create(slot_bytes, len(parts))
-            if ring is not None:
-                supervisor.resolve = ring.resolve
-        t0 = time.perf_counter()
         try:
-            with span("multidevice.generate", algo=self.algorithm, devices=self.n_devices,
-                      blocks=total_blocks):
-                results = supervisor.run(self._jobs(total_blocks, ring=ring), parallel=parallel)
+            results = self._supervise(
+                _device_worker, lambda: self._jobs(total_blocks, ring=ring), parallel,
+                total_blocks, "blocks", "multidevice.generate",
+                resolve=ring.resolve if ring is not None else None, blocks=total_blocks,
+            )
         finally:
             if ring is not None:
                 ring.close()
-        wall = time.perf_counter() - t0
-        _merge_worker_metrics(supervisor.report)
-        self.last_report = GenerationReport.build(
-            self.algorithm,
-            self.n_devices,
-            total_blocks,
-            "blocks",
-            wall,
-            supervisor.report,
-            completed=set(results),
-            degraded_pids={e.partition for e in supervisor.report.events if e.kind == "degraded"},
-        )
         return b"".join(results[pid] for pid in sorted(results))
 
     def sequential_reference(self, total_blocks: int) -> bytes:
         """The single-device output the multi-device result must equal."""
-        from repro.core.generator import BSRNG
-
-        rng = BSRNG(
-            self.algorithm,
-            seed=self.seed,
-            lanes=self.lanes,
-            fused=self.fused,
-            clocks_per_call=self.clocks_per_call,
-        )
-        return rng.random_bytes(total_blocks * self.block_bytes)
+        return self.stream.make_rng().random_bytes(total_blocks * self.block_bytes)
 
 
 def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, dict | None]:
@@ -508,7 +458,7 @@ def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, d
     return worker_attempt(
         device_id,
         attempt,
-        plan_json,
+        FaultPlan.resolve(plan_json),
         verify_crc,
         produce,
         trace=trace,
@@ -517,7 +467,7 @@ def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, d
     )
 
 
-class LanePartitionedGenerator:
+class LanePartitionedGenerator(_SupervisedDevices):
     """§5.4's *input-parameter* partitioning, literally.
 
     The paper shares and partitions "the input parameters (e.g., the
@@ -561,19 +511,11 @@ class LanePartitionedGenerator:
         self.seed = seed
         self.total_lanes = total_lanes
         self.n_devices = n_devices
-        if mp_context is None:
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self.mp_context = mp_context
-        self.config = SupervisorConfig(
-            timeout=timeout,
-            max_retries=max_retries,
-            verify_crc=verify_crc,
-            degrade_sequential=degrade_sequential,
+        self._init_supervision(
+            mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
         )
-        self.fault_plan = fault_plan
         self.fused = bool(fused)
         self.clocks_per_call = int(clocks_per_call)
-        self.last_report = None
 
     def device_partitions(self) -> list[DevicePartition]:
         """Lane windows per device (start/size in lanes)."""
@@ -582,40 +524,28 @@ class LanePartitionedGenerator:
 
     def generate_lanes(self, n_bits: int, parallel: bool = True) -> np.ndarray:
         """Per-lane keystreams, ``(total_lanes, n_bits)`` uint8."""
-        plan_json = self.fault_plan.to_json() if self.fault_plan is not None else None
-        wire = trace_context.current_wire() if obs.active_tracer() else None
-        jobs = {
-            p.device_id: (
-                p.device_id,
-                _LANE_BANKS[self.algorithm],
-                self.seed,
-                p.start_block,
-                p.n_blocks,
-                n_bits,
-                self.config.verify_crc,
-                plan_json,
-                self.fused,
-                self.clocks_per_call,
-                wire,
-            )
-            for p in self.device_partitions()
-        }
-        supervisor = PartitionSupervisor(_lane_worker, self.mp_context, self.config)
-        t0 = time.perf_counter()
-        with span("lanepartitioned.generate", algo=self.algorithm, devices=self.n_devices,
-                  bits=n_bits):
-            results = supervisor.run(jobs, parallel=parallel)
-        wall = time.perf_counter() - t0
-        _merge_worker_metrics(supervisor.report)
-        self.last_report = GenerationReport.build(
-            self.algorithm,
-            self.n_devices,
-            n_bits,
-            "bits",
-            wall,
-            supervisor.report,
-            completed=set(results),
-            degraded_pids={e.partition for e in supervisor.report.events if e.kind == "degraded"},
+
+        def jobs() -> dict[int, tuple]:
+            plan_json, wire = self._job_context()
+            return {
+                p.device_id: (
+                    p.device_id,
+                    _LANE_BANKS[self.algorithm],
+                    self.seed,
+                    p.start_block,
+                    p.n_blocks,
+                    n_bits,
+                    self.config.verify_crc,
+                    plan_json,
+                    self.fused,
+                    self.clocks_per_call,
+                    wire,
+                )
+                for p in self.device_partitions()
+            }
+
+        results = self._supervise(
+            _lane_worker, jobs, parallel, n_bits, "bits", "lanepartitioned.generate", bits=n_bits
         )
         return np.vstack([results[pid] for pid in sorted(results)])
 

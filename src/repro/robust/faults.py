@@ -40,11 +40,14 @@ because a silent or bleeding worker stays that way until evicted:
   ``repro serve --qa`` sidecar, or the RCT/APT screen for gross masks)
   can catch them.
 
-Plans are consulted inside the worker entry points
-(:mod:`repro.gpu.multigpu`, :mod:`repro.fleet.worker`), activated either
-by constructor argument or by the ``REPRO_FAULT_PLAN`` environment
-variable (a JSON plan), so a spawn-context worker with no shared memory
-still injects identically.  Because a pool-level entry fires only on its
+Plans are consulted by the one worker shell every process-level worker
+runs in (:func:`repro.robust.supervisor.attempt_shell`: crash/delay
+before the body, stuck/corrupt/slow_bleed after its CRC) and by the one
+stream-range body (:func:`repro.serve.engine.range_attempt`: bias before
+the receipt).  They are activated either by constructor argument or by
+the ``REPRO_FAULT_PLAN`` environment variable (a JSON plan,
+:meth:`FaultPlan.resolve`), so a spawn-context worker with no shared
+memory still injects identically.  Because a pool-level entry fires only on its
 exact attempt number, every pool plan is finite: retried partitions
 eventually run clean and regenerate byte-identical output.  Fleet plans
 terminate differently — the fleet evicts the faulty member and
@@ -136,29 +139,6 @@ class FaultPlan:
             for f in self.faults
         )
 
-    def bleed(self, worker: int, job_index: int, payload: bytes) -> bytes:
-        """Apply any active ``slow_bleed`` fault to one payload.
-
-        Persistent like :meth:`silences`: every payload from the
-        scheduled job index on has ``corrupt_bytes`` seeded byte flips.
-        Call *after* the CRC is computed, so the bleed models a damaged
-        transfer and trips the receiving side's receipt verification.
-        """
-        for f in self.faults:
-            if (
-                f.kind == "slow_bleed"
-                and f.partition == worker
-                and job_index >= f.attempt
-                and payload
-            ):
-                rng = np.random.default_rng([self.seed, worker, job_index])
-                data = np.frombuffer(payload, dtype=np.uint8).copy()
-                k = min(f.corrupt_bytes, data.size)
-                pos = rng.choice(data.size, size=k, replace=False)
-                data[pos] ^= rng.integers(1, 256, size=k, dtype=np.uint8)
-                payload = data.tobytes()
-        return payload
-
     def apply_bias(self, partition: int, payload: bytes) -> bytes:
         """Apply any active ``bias`` fault to one payload.
 
@@ -186,24 +166,38 @@ class FaultPlan:
                 time.sleep(f.delay)
 
     def post_generate(self, partition: int, attempt: int, payload: bytes) -> bytes:
-        """Apply stuck/corrupt faults to the generated payload.
+        """Apply stuck/corrupt faults, then any active ``slow_bleed``.
 
         Runs *after* the worker computed its payload CRC, so corruption
         models a damaged transfer and is visible to the supervisor's
-        verification hook.
+        verification hook.  ``slow_bleed`` is persistent like
+        :meth:`silences`: every payload from the scheduled attempt (the
+        fleet worker's job index) on has ``corrupt_bytes`` seeded flips.
         """
         for f in self.matching(partition, attempt):
             if f.kind == "stuck":
                 payload = bytes([f.stuck_byte]) * len(payload)
             elif f.kind == "corrupt" and payload:
-                rng = np.random.default_rng([self.seed, partition, attempt])
-                data = np.frombuffer(payload, dtype=np.uint8).copy()
-                k = min(f.corrupt_bytes, data.size)
-                pos = rng.choice(data.size, size=k, replace=False)
-                # XOR with a non-zero mask so every hit really changes a byte
-                data[pos] ^= rng.integers(1, 256, size=k, dtype=np.uint8)
-                payload = data.tobytes()
+                payload = self._flip(payload, partition, attempt, f.corrupt_bytes)
+        for f in self.faults:
+            if (
+                f.kind == "slow_bleed"
+                and f.partition == partition
+                and attempt >= f.attempt
+                and payload
+            ):
+                payload = self._flip(payload, partition, attempt, f.corrupt_bytes)
         return payload
+
+    def _flip(self, payload: bytes, partition: int, attempt: int, k: int) -> bytes:
+        """XOR *k* seeded positions with non-zero masks, so every hit
+        really changes a byte."""
+        rng = np.random.default_rng([self.seed, partition, attempt])
+        data = np.frombuffer(payload, dtype=np.uint8).copy()
+        k = min(k, data.size)
+        pos = rng.choice(data.size, size=k, replace=False)
+        data[pos] ^= rng.integers(1, 256, size=k, dtype=np.uint8)
+        return data.tobytes()
 
     # -- serialisation (constructor flag or env var, spawn-safe) -----------------
     def to_json(self) -> str:
@@ -218,6 +212,11 @@ class FaultPlan:
             faults=tuple(Fault(**f) for f in obj.get("faults", ())),
             seed=int(obj.get("seed", 0)),
         )
+
+    @classmethod
+    def resolve(cls, text: str | None) -> "FaultPlan | None":
+        """An explicit JSON plan when given, else :meth:`from_env`."""
+        return cls.from_json(text) if text else cls.from_env()
 
     @classmethod
     def from_env(cls) -> "FaultPlan | None":

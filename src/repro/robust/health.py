@@ -50,6 +50,7 @@ __all__ = [
     "AdaptiveProportionTest",
     "HealthEvent",
     "HealthLog",
+    "HealthScreen",
     "startup_self_test",
     "HealthMonitoredBSRNG",
     "APT_WINDOW",
@@ -251,6 +252,52 @@ class AdaptiveProportionTest:
         return None
 
 
+class HealthScreen:
+    """The one continuous-test screen: an RCT/APT pair over one stream.
+
+    Held by the service latch (:class:`repro.serve.engine.HealthState`),
+    each fleet member's screen and :class:`HealthMonitoredBSRNG`, which
+    differ only in policy.  It owns the pair, the stream position (bytes
+    screened clean) and reset-on-failure: a failing buffer is not
+    counted, clears both tests and returns a positioned
+    :class:`HealthEvent`.
+    """
+
+    def __init__(self, alpha: float = DEFAULT_ALPHA, entropy_per_sample: float = 8.0) -> None:
+        self.rct = RepetitionCountTest(alpha, entropy_per_sample)
+        self.apt = AdaptiveProportionTest(alpha, entropy_per_sample)
+        self.position = 0
+
+    def update(self, data) -> HealthEvent | None:
+        """Screen one buffer (bytes-like or uint8 array); ``None`` when
+        healthy.  The APT only sees a buffer the RCT passed."""
+        buf = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
+        at = self.rct.update(buf)
+        if at is not None:
+            event = HealthEvent(
+                "rct",
+                self.position + at,
+                f"byte 0x{int(buf[at]):02x} repeated {self.rct.cutoff} times",
+            )
+        else:
+            at = self.apt.update(buf)
+            if at is None:
+                self.position += buf.size
+                return None
+            event = HealthEvent(
+                "apt",
+                self.position + at,
+                f"window proportion reached cutoff {self.apt.cutoff}",
+            )
+        self.reset()
+        return event
+
+    def reset(self) -> None:
+        """Forget both tests' carried state (the position is kept)."""
+        self.rct.reset()
+        self.apt.reset()
+
+
 def startup_self_test(rng: BSRNG) -> Fips140Report:
     """FIPS 140-2 battery on the generator's next 20,000 bits.
 
@@ -324,8 +371,7 @@ class HealthMonitoredBSRNG:
         self.inner = rng if isinstance(rng, BSRNG) else BSRNG(rng, seed=seed, lanes=lanes)
         self.on_failure = on_failure
         self.max_reseeds = max_reseeds
-        self.rct = RepetitionCountTest(alpha, entropy_per_sample)
-        self.apt = AdaptiveProportionTest(alpha, entropy_per_sample)
+        self.screen = HealthScreen(alpha, entropy_per_sample)
         self.log = HealthLog()
         #: Continuous SP 800-90B-style bit census of the *raw source
         #: output*, folded into the generation path's single-touch
@@ -340,24 +386,6 @@ class HealthMonitoredBSRNG:
             self.startup_report = startup_self_test(self.inner)
 
     # -- screening core ----------------------------------------------------------
-    def _screen(self, data: np.ndarray) -> HealthEvent | None:
-        """Run both continuous tests over one buffer."""
-        at = self.rct.update(data)
-        if at is not None:
-            return HealthEvent(
-                "rct",
-                self.log.bytes_screened + at,
-                f"byte 0x{int(data[at]):02x} repeated {self.rct.cutoff} times",
-            )
-        at = self.apt.update(data)
-        if at is not None:
-            return HealthEvent(
-                "apt",
-                self.log.bytes_screened + at,
-                f"window proportion reached cutoff {self.apt.cutoff}",
-            )
-        return None
-
     def _draw(self, n: int) -> np.ndarray:
         """Screened byte draw (uint8 array)."""
         if n < 0:
@@ -367,9 +395,9 @@ class HealthMonitoredBSRNG:
         for attempt in range(self.max_reseeds + 1):
             data = self.inner.random_uint8(n)  # no bytes round-trip copy
             with span("health.screen", algo=self.algorithm, n=n):
-                event = self._screen(data)
+                event = self.screen.update(data)
             if event is None:
-                self.log.bytes_screened += n
+                self.log.bytes_screened = self.screen.position
                 obs.inc("repro_health_screened_bytes_total", n, algorithm=self.algorithm)
                 return data
             obs.inc(
@@ -378,16 +406,20 @@ class HealthMonitoredBSRNG:
                 algorithm=self.algorithm,
                 test=event.test,
             )
-            if self.on_failure == "raise" or attempt == self.max_reseeds:
-                event.action = "raise"
-                self.log.record(event)
-                logger.warning(
-                    "health test %s failed at byte %d on %s: %s (raising)",
-                    event.test,
-                    event.position,
-                    self.algorithm,
-                    event.detail,
-                )
+            final = self.on_failure == "raise" or attempt == self.max_reseeds
+            event.action = "raise" if final else "reseed"
+            self.log.record(event)
+            logger.warning(
+                "health test %s failed at byte %d on %s: %s (%s)",
+                event.test,
+                event.position,
+                self.algorithm,
+                event.detail,
+                "raising"
+                if final
+                else f"degrading: reseed {self.log.reseeds + 1}/{self.max_reseeds}",
+            )
+            if final:
                 flight.record(
                     "health-failure",
                     algorithm=self.algorithm,
@@ -404,22 +436,9 @@ class HealthMonitoredBSRNG:
                         else ""
                     )
                 )
-            event.action = "reseed"
-            self.log.record(event)
-            logger.warning(
-                "health test %s failed at byte %d on %s: %s (degrading: reseed %d/%d)",
-                event.test,
-                event.position,
-                self.algorithm,
-                event.detail,
-                self.log.reseeds + 1,
-                self.max_reseeds,
-            )
             self.inner.reseed()
             self.log.reseeds += 1
             obs.inc("repro_health_reseeds_total", 1, algorithm=self.algorithm)
-            self.rct.reset()
-            self.apt.reset()
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- public draws (mirror BSRNG) ---------------------------------------------
@@ -462,5 +481,5 @@ class HealthMonitoredBSRNG:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"HealthMonitoredBSRNG({self.inner!r}, on_failure={self.on_failure!r}, "
-            f"rct_cutoff={self.rct.cutoff}, apt_cutoff={self.apt.cutoff})"
+            f"rct_cutoff={self.screen.rct.cutoff}, apt_cutoff={self.screen.apt.cutoff})"
         )

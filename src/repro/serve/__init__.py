@@ -17,7 +17,7 @@ Client-side, :mod:`repro.serve.loadgen` provides the async load
 generator behind ``benchmarks/bench_serve_load.py``.
 """
 
-from repro.serve.daemon import DaemonConfig, ServeDaemon, build_daemon
+from repro.serve.daemon import DaemonConfig, ServeDaemon
 from repro.serve.engine import EngineStats, HealthState, ServeEngine, StreamConfig
 from repro.serve.leases import Lease, LeaseManager
 from repro.serve.loadgen import LoadResult, run_load
@@ -27,7 +27,6 @@ __all__ = [
     "run_load",
     "DaemonConfig",
     "ServeDaemon",
-    "build_daemon",
     "EngineStats",
     "HealthState",
     "ServeEngine",

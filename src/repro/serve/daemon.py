@@ -69,7 +69,7 @@ from repro.obs import flight
 from repro.obs.context import TraceContext
 from repro.obs.export import render_prometheus
 from repro.obs.tracing import span
-from repro.serve.engine import ServeEngine, StreamConfig
+from repro.serve.engine import ServeEngine
 from repro.serve.leases import LeaseManager
 
 logger = logging.getLogger(__name__)
@@ -610,47 +610,3 @@ class ServeDaemon:
             "leases": self.leases.stats(),
         }
 
-
-def build_daemon(
-    *,
-    stream: StreamConfig | None = None,
-    daemon_config: DaemonConfig | None = None,
-    workers: int = 2,
-    timeout: float | None = 30.0,
-    max_retries: int = 2,
-    verify_crc: bool = True,
-    screen: bool = True,
-    fleet_workers: int = 0,
-    heartbeat_interval: float = 1.0,
-    heartbeat_timeout: float = 5.0,
-) -> ServeDaemon:
-    """Assemble a daemon from flat knobs (the CLI's constructor).
-
-    ``fleet_workers > 0`` mounts a heartbeat-supervised fleet
-    (:mod:`repro.fleet`) instead of the anonymous pool; ``workers`` is
-    then ignored.
-    """
-    from repro.robust.supervisor import SupervisorConfig
-
-    fleet_config = None
-    if fleet_workers > 0:
-        from repro.fleet.controller import FleetConfig
-
-        fleet_config = FleetConfig(
-            workers=fleet_workers,
-            max_workers=max(fleet_workers * 2, fleet_workers + 2),
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            verify_crc=verify_crc,
-            screen=screen,
-        )
-    engine = ServeEngine(
-        config=stream or StreamConfig(),
-        workers=workers,
-        supervision=SupervisorConfig(
-            timeout=timeout, max_retries=max_retries, verify_crc=verify_crc
-        ),
-        screen=screen,
-        fleet=fleet_config,
-    )
-    return ServeDaemon(engine, daemon_config or DaemonConfig())

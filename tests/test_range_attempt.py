@@ -1,0 +1,138 @@
+"""The one stream-range body: single-touch receipts and faults in every worker.
+
+A served pool chunk, a fleet lease and a multi-device partition all draw
+through :func:`repro.serve.engine.range_attempt`.  These tests pin what
+that buys: the CRC receipt is folded into the draw (no cold second pass
+unless a ``bias`` fault rewrote the bytes), and a ``bias`` plan now
+reaches the fleet and the multi-device workers, not only the serve
+pool — masked bytes that still verify clean.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro import obs
+from repro.fleet import FleetConfig, FleetController
+from repro.gpu.multigpu import MultiDeviceGenerator
+from repro.robust import supervisor
+from repro.robust.faults import Fault, FaultPlan
+from repro.serve.engine import RangeSource, StreamConfig, range_attempt
+
+STREAM = StreamConfig(algorithm="trivium", seed=9, lanes=64)
+BIAS = FaultPlan((Fault("bias", partition=0, bias_mask=0xFE),))
+
+
+def reference(n: int, offset: int = 0) -> bytes:
+    rng = STREAM.make_rng()
+    rng.skip_bytes(offset)
+    return rng.read(n)
+
+
+def masked(data: bytes) -> bytes:
+    return (np.frombuffer(data, dtype=np.uint8) & np.uint8(0xFE)).tobytes()
+
+
+def counting_crc(monkeypatch) -> list[int]:
+    """Count the shell's cold ``payload_crc`` passes."""
+    calls: list[int] = []
+    real = supervisor.payload_crc
+
+    def crc(payload):
+        calls.append(len(payload))
+        return real(payload)
+
+    monkeypatch.setattr(supervisor, "payload_crc", crc)
+    return calls
+
+
+def metric_names(reg) -> set[str]:
+    return {entry["name"] for entry in reg.snapshot()["metrics"]}
+
+
+class TestSingleTouchReceipt:
+    def test_receipt_is_reused_not_recomputed(self, monkeypatch):
+        calls = counting_crc(monkeypatch)
+        data, crc, spans = range_attempt(RangeSource(STREAM), 3, 0, 4096, 4096, None, True)
+        assert calls == []
+        assert data == reference(4096, offset=4096)
+        assert crc == supervisor.payload_crc(data)
+        assert spans is None
+
+    def test_bias_takes_one_cold_crc_over_the_biased_bytes(self, monkeypatch):
+        calls = counting_crc(monkeypatch)
+        data, crc, _ = range_attempt(RangeSource(STREAM), 3, 0, 0, 4096, BIAS, True)
+        assert calls == [4096]
+        assert data == masked(reference(4096))
+        assert crc == supervisor.payload_crc(data)  # the receipt covers the bias
+
+    def test_no_crc_without_verification(self, monkeypatch):
+        calls = counting_crc(monkeypatch)
+        data, crc, _ = range_attempt(RangeSource(STREAM), 0, 0, 0, 512, BIAS, False)
+        assert calls == [] and crc is None
+        assert data == masked(reference(512))
+
+    def test_post_generate_faults_follow_the_receipt(self):
+        plan = FaultPlan((Fault("corrupt", 2, 1, corrupt_bytes=3),), seed=1)
+        data, crc, _ = range_attempt(RangeSource(STREAM), 2, 1, 0, 1024, plan, True)
+        assert data != reference(1024)
+        assert crc == supervisor.payload_crc(reference(1024))
+
+
+def fleet_config(**overrides) -> FleetConfig:
+    defaults = dict(
+        workers=2,
+        max_workers=4,
+        heartbeat_interval=0.2,
+        heartbeat_timeout=4.0,
+        chunk_bytes=4096,
+        scale_up_backlog=100,
+    )
+    defaults.update(overrides)
+    return FleetConfig(**defaults)
+
+
+class TestFleetWorkers:
+    def test_receipts_reused_for_every_job(self):
+        with obs.scoped() as reg:
+            with FleetController(STREAM, fleet_config()) as ctrl:
+                data = ctrl.read_range(0, 65536, timeout=120)
+        assert data == reference(65536)
+        reused = sum(
+            entry["value"]
+            for entry in reg.snapshot()["metrics"]
+            if entry["name"] == "repro_touch_receipts_reused_total"
+        )
+        assert reused == 16
+
+    def test_bias_masks_fleet_bytes_with_zero_crc_rejects(self):
+        # screen=False isolates the fault path: the bias must pass every
+        # transfer-level defence, exactly as on the serve pool
+        with obs.scoped() as reg:
+            with FleetController(
+                STREAM, fleet_config(screen=False), fault_plan=BIAS
+            ) as ctrl:
+                data = ctrl.read_range(0, 65536, timeout=120)
+                status = ctrl.status()
+        assert data == masked(reference(65536))
+        assert status["counters"]["evictions"] == 0
+        names = metric_names(reg)
+        assert "repro_fleet_receipt_failures_total" not in names
+        assert "repro_touch_receipts_reused_total" not in names  # cold CRC of biased bytes
+
+
+class TestMultiDeviceWorkers:
+    def test_bias_masks_partitions_with_zero_crc_rejects(self):
+        gen = MultiDeviceGenerator(
+            "trivium", seed=9, lanes=64, n_devices=2, block_bytes=4096,
+            verify_crc=True, fault_plan=BIAS,
+        )
+        out = gen.generate(4)
+        assert out == masked(gen.sequential_reference(4))
+        assert gen.last_report.events == []  # no corrupt receipt, no retry
+        assert set(gen.last_report.attempts.values()) == {1}
+
+    def test_job_ships_the_stream_config(self):
+        gen = MultiDeviceGenerator("trivium", seed=9, lanes=64, n_devices=2, block_bytes=512)
+        jobs = gen._jobs(3)
+        assert [job[:4] for job in jobs.values()] == [(0, STREAM, 0, 1024), (1, STREAM, 1024, 512)]

@@ -153,8 +153,12 @@ class TestEmptyJobs:
             _mk().generate(-1)
 
     def test_supervisor_empty_jobs(self):
-        sup = PartitionSupervisor(lambda payload, attempt: (payload, None))
+        sup = PartitionSupervisor(lambda payload, attempt: (payload, None, None, None))
         assert sup.run({}, parallel=True) == {}
+
+    def test_non_str_mp_context_rejected(self):
+        with pytest.raises(SpecificationError):
+            PartitionSupervisor(lambda payload, attempt: None, SupervisorConfig())
 
 
 class TestLanePartitionedSupervision:
@@ -203,10 +207,11 @@ class TestFailureWallTimes:
             raise RuntimeError("boom")
 
         sup = PartitionSupervisor(
-            worker, SupervisorConfig(max_retries=1, degrade_sequential=False)
+            worker, config=SupervisorConfig(max_retries=1, degrade_sequential=False)
         )
         with pytest.raises(DeviceFailureError):
             sup.run({7: b"x"}, parallel=False)
+        assert sup.report.attempts[7] == 2  # the policy's one retry, not the default two
         # the partition never delivered, but its failure wall is recorded
         assert 7 in sup.report.partition_wall
         assert sup.report.partition_wall[7] >= 0.0

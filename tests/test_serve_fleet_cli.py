@@ -1,0 +1,86 @@
+"""``repro serve --fleet``: the service latch's alpha stays out of the fleet.
+
+``--alpha`` sets the false-positive rate of the service-wide ``/healthz``
+screen (2^-20 by default, a 4-byte RCT run).  The fleet's per-worker
+screen *evicts* on failure and is sized for volume at 2^-30; handing it
+the latch's alpha evicted healthy members on ordinary runs of the
+default stream and stalled the daemon on replacements.  The regression
+boots the real CLI over a 2-member fleet, reads the first MiB of the
+default seed-0 Trivium stream and requires no eviction, while the
+service latch still fires exactly where the pool path reports it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import re
+import signal
+import subprocess
+import sys
+import time
+import urllib.error
+import urllib.request
+
+READY_RE = re.compile(r"^repro-serve listening on ([\d.]+):(\d+)\s*$")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: First RCT event of the default stream (trivium, seed 0, 4096 lanes)
+#: under the 2^-20 latch, screened in 64 KiB chunks in stream order.
+FIRST_RCT_POSITION = 685_976
+
+
+def _get(url: str) -> tuple[int, bytes]:
+    try:
+        with urllib.request.urlopen(url, timeout=120) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read()
+
+
+def test_fleet_keeps_its_own_alpha_and_evicts_no_healthy_member():
+    env = dict(os.environ)
+    env.pop("REPRO_FAULT_PLAN", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--fleet", "2", "--port", "0"],
+        stdout=subprocess.PIPE,  # the readiness line; logs go to stderr
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    try:
+        base = None
+        deadline = time.monotonic() + 60
+        while base is None and time.monotonic() < deadline:
+            line = proc.stdout.readline()
+            assert line or proc.poll() is None, f"daemon exited early ({proc.returncode})"
+            m = READY_RE.match(line.strip())
+            if m:
+                base = f"http://{m.group(1)}:{m.group(2)}"
+        assert base is not None, "no readiness line within 60s"
+
+        status, body = _get(f"{base}/v1/bytes?n={1 << 20}")
+        assert status == 200 and len(body) == 1 << 20
+
+        fleet = json.loads(_get(f"{base}/v1/status")[1])["engine"]["fleet"]
+        assert fleet["counters"]["evictions"] == 0, fleet["events"]
+
+        status, body = _get(f"{base}/healthz")
+        health = json.loads(body)
+        assert status == 503 and not health["healthy"]
+        first = health["events"][0]
+        assert (first["test"], first["position"]) == ("rct", FIRST_RCT_POSITION)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            rc = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.stdout.close()
+    assert rc == 0
