@@ -14,6 +14,7 @@ from repro.robust.health import (
     APT_WINDOW,
     AdaptiveProportionTest,
     HealthMonitoredBSRNG,
+    HealthScreen,
     RepetitionCountTest,
     apt_cutoff,
     rct_cutoff,
@@ -117,6 +118,27 @@ class TestAdaptiveProportion:
         # constant value only *between* windows: each window sees a clean ref
         data = np.arange(4 * APT_WINDOW, dtype=np.int64) % 251
         assert apt.update(data.astype(np.uint8)) is None
+
+
+class TestHealthScreen:
+    def test_position_counts_clean_bytes_across_buffers(self):
+        screen = HealthScreen()
+        clean = np.arange(256, dtype=np.uint8)
+        assert screen.update(clean.tobytes()) is None  # bytes-like input
+        assert screen.update(clean) is None
+        assert screen.position == 512
+
+    def test_failure_is_positioned_uncounted_and_resets(self):
+        screen = HealthScreen()
+        screen.update(np.arange(100, dtype=np.uint8))
+        stuck = np.zeros(10, dtype=np.uint8)
+        event = screen.update(stuck)
+        cutoff = screen.rct.cutoff
+        assert (event.test, event.position) == ("rct", 100 + cutoff - 1)
+        assert "repeated" in event.detail
+        assert screen.position == 100  # the failing buffer is not counted
+        # reset-on-failure: a short run no longer continues the old one
+        assert screen.update(stuck[: cutoff - 1]) is None
 
 
 class TestStartupSelfTest:
