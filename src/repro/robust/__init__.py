@@ -18,6 +18,7 @@ from repro.robust.health import (
     HealthEvent,
     HealthLog,
     HealthMonitoredBSRNG,
+    HealthScreen,
     RepetitionCountTest,
     apt_cutoff,
     rct_cutoff,
@@ -42,6 +43,7 @@ __all__ = [
     "HealthEvent",
     "HealthLog",
     "HealthMonitoredBSRNG",
+    "HealthScreen",
     "rct_cutoff",
     "apt_cutoff",
     "startup_self_test",
