@@ -34,10 +34,11 @@ machinery the batch layers built:
   screen (:class:`HealthState`, one
   :class:`~repro.robust.health.HealthScreen`), the dispatch counters,
   then the QA sidecar.  A pool attempt that fails the screen is retried
-  like any other failed attempt (the chunk is regenerated); fleet and
-  inline bytes cannot be retried away and are served.  Either way the
-  verdict is *latched*: ``/healthz`` reports unhealthy from the first
-  failure until an operator intervenes.
+  like any other failed attempt (the chunk is replayed from the
+  worker's recent ranges, or regenerated if they no longer hold it);
+  fleet and inline bytes cannot be retried away and are served.  Either
+  way the verdict is *latched*: ``/healthz`` reports unhealthy from the
+  first failure until an operator intervenes.
 
 Worker processes each own a bounded :class:`RangeSource` cache of
 generator fronts per stream config (the *per-worker ownership
@@ -137,9 +138,20 @@ class RangeSource:
 
     Because leases tile the stream contiguously, a serving worker almost
     always finds an exact or near front, whatever kernel family runs
-    underneath.  Eviction is LRU by last use; collisions on the same
-    next-offset keep the most recent generator.  One internal lock makes
-    the shared inline-fallback instance safe under concurrent callers.
+    underneath.  Eviction is LRU by last use; a collision on the same
+    next-offset replaces only that front, keeping the most recent
+    generator.
+
+    Ahead of the fronts sits a *replay* tier: the last ``max_streams``
+    ranges returned, keyed by ``(offset, n, draw method)`` and held by
+    reference, not copied (``bytes`` are immutable, a :class:`Receipt`
+    is frozen).  Every range is a pure function of ``(config, offset,
+    n)``, so a retried chunk — rejected by the health screen, or damaged
+    after it left the generator — is answered from the window without
+    advancing any generator, instead of rebuilding behind every front.
+    The window holds at most ``max_streams`` ranges (8 × 64 KiB for a
+    serve pool worker).  One internal lock makes the shared
+    inline-fallback instance safe under concurrent callers.
     """
 
     def __init__(self, config: StreamConfig, max_streams: int = 8) -> None:
@@ -148,9 +160,12 @@ class RangeSource:
         self.config = config
         self.max_streams = max_streams
         self._streams: dict[int, BSRNG] = {}  # next served offset -> generator
+        # (offset, n, draw method) -> what that draw returned
+        self._recent: dict[tuple[int, int, str], bytes | tuple[bytes, Receipt]] = {}
         self._lock = threading.Lock()
         self.rebuilds = 0
         self.forward_skips = 0
+        self.replays = 0
 
     def read_range(self, offset: int, n: int) -> bytes:
         """The stream's bytes ``[offset, offset + n)``."""
@@ -169,7 +184,13 @@ class RangeSource:
     def _draw(self, offset: int, n: int, method: str):
         if offset < 0 or n < 0:
             raise SpecificationError("offset and n must be non-negative")
+        key = (offset, n, method)
         with self._lock:
+            out = self._recent.pop(key, None)
+            if out is not None:
+                self._recent[key] = out  # most recent again
+                self.replays += 1
+                return out
             rng = self._streams.pop(offset, None)
             if rng is None:
                 behind = [o for o in self._streams if o < offset]
@@ -182,9 +203,12 @@ class RangeSource:
                     self.rebuilds += 1
                 rng.skip_bytes(offset - rng.tell())
             out = getattr(rng, method)(n)
-            if len(self._streams) >= self.max_streams:
-                self._streams.pop(next(iter(self._streams)))  # oldest entry
+            self._streams.pop(offset + n, None)  # a collision replaces only itself
+            for cache in (self._streams, self._recent):
+                if len(cache) >= self.max_streams:
+                    cache.pop(next(iter(cache)))  # oldest entry
             self._streams[offset + n] = rng
+            self._recent[key] = out
             return out
 
 

@@ -1,0 +1,175 @@
+"""``RangeSource``: the per-worker cache behind every served stream range.
+
+Three tiers answer a draw of ``[offset, offset + n)``: the window of
+recently returned ranges (a retried chunk replays without advancing any
+generator), then the generator fronts (continue one, or forward-skip from
+the nearest one behind), and only then a rebuild from seed.  These tests
+pin each tier's bookkeeping, the bounds of both caches, and — through the
+pool's own entry point and a whole engine — that a screen-rejected chunk
+is retried from the window with the same verdicts and bytes.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.robust.faults import FAULT_PLAN_ENV
+from repro.robust.supervisor import payload_crc
+from repro.serve import engine
+from repro.serve.engine import RangeSource, ServeEngine, StreamConfig
+
+STREAM = StreamConfig(algorithm="trivium", seed=0, lanes=64)
+
+#: The default served stream (trivium, seed 0, 4096 lanes): under the
+#: 2^-20 screen its first RCT trip lands in the 64 KiB chunk at 655,360.
+DEFAULT_STREAM = StreamConfig(algorithm="trivium", seed=0)
+CHUNK = 1 << 16
+TRIP_CHUNK = 10
+FIRST_RCT_POSITION = 685_976
+
+
+def offline(offset: int, n: int, config: StreamConfig = STREAM) -> bytes:
+    rng = config.make_rng()
+    rng.skip_bytes(offset)
+    return rng.read(n)
+
+
+def tiers(source: RangeSource) -> tuple[int, int, int]:
+    return source.rebuilds, source.forward_skips, source.replays
+
+
+def positions(source: RangeSource) -> dict[int, int]:
+    """Each cached front's next offset -> its generator's position."""
+    return {key: rng.tell() for key, rng in source._streams.items()}
+
+
+class TestFronts:
+    def test_continuing_a_front_costs_nothing(self):
+        source = RangeSource(STREAM)
+        first = source.read_range(0, 100)
+        second = source.read_range(100, 50)
+        assert first + second == offline(0, 150)
+        assert tiers(source) == (1, 0, 0)  # the one rebuild is the cold start
+        assert list(source._streams) == [150]
+
+    def test_forward_skip_from_the_nearest_front_behind(self):
+        source = RangeSource(STREAM)
+        source.read_range(500, 10)  # front at 510
+        source.read_range(0, 10)  # behind it: a second front at 10
+        assert tiers(source) == (2, 0, 0)
+        assert source.read_range(1000, 20) == offline(1000, 20)
+        assert tiers(source) == (2, 1, 0)
+        # the nearer front (510) paid the gap; the one at 10 is untouched
+        assert sorted(source._streams) == [10, 1020]
+
+    def test_rebuild_when_behind_every_front(self):
+        source = RangeSource(STREAM)
+        source.read_range(500, 10)
+        assert source.read_range(100, 10) == offline(100, 10)
+        assert tiers(source) == (2, 0, 0)
+        assert sorted(source._streams) == [110, 510]
+
+    def test_fronts_are_lru_bounded(self):
+        source = RangeSource(STREAM, max_streams=2)
+        source.read_range(0, 10)  # front 10
+        source.read_range(200, 10)  # front 10 moved on: only 210
+        source.read_range(100, 10)  # rebuild: fronts 210, 110
+        source.read_range(210, 10)  # continue 210 -> 220, now most recent
+        source.read_range(0, 5)  # rebuild evicts the least recent front (110)
+        assert sorted(source._streams) == [5, 220]
+        assert len(source._streams) <= source.max_streams
+
+    def test_next_offset_collision_evicts_no_other_front(self):
+        source = RangeSource(STREAM, max_streams=2)
+        source.read_range(100, 10)
+        source.read_range(0, 10)
+        assert sorted(source._streams) == [10, 110]
+        # rebuilds onto next offset 10, replacing only the front keyed 10
+        assert source.read_range(5, 5) == offline(5, 5)
+        assert sorted(source._streams) == [10, 110]
+        assert source.read_range(110, 10) == offline(110, 10)
+        assert source.rebuilds == 3 and source.forward_skips == 0
+
+
+class TestReplayWindow:
+    def test_repeat_draw_replays_without_advancing_a_generator(self):
+        source = RangeSource(STREAM)
+        data = source.read_range(0, 64)
+        pair = source.read_range_with_receipt(64, 64)
+        before, fronts = tiers(source), positions(source)
+        assert source.read_range(0, 64) is data
+        again = source.read_range_with_receipt(64, 64)
+        assert again[0] is pair[0] and again[1] is pair[1]
+        rebuilds, skips, replays = tiers(source)
+        assert (rebuilds, skips) == before[:2]
+        assert replays == before[2] + 2
+        assert positions(source) == fronts
+
+    def test_window_is_keyed_by_draw_method(self):
+        source = RangeSource(STREAM)
+        data = source.read_range(0, 64)
+        replayed, receipt = source.read_range_with_receipt(0, 64)
+        assert source.replays == 0
+        assert replayed == data and receipt.crc == payload_crc(data)
+
+    def test_window_holds_at_most_max_streams_ranges(self):
+        source = RangeSource(STREAM, max_streams=3)
+        for k in range(10):
+            source.read_range(16 * k, 16)
+            assert len(source._recent) <= source.max_streams
+        assert list(source._recent) == [(16 * k, 16, "read") for k in (7, 8, 9)]
+        source.read_range(0, 16)  # aged out: regenerated, not replayed
+        assert source.replays == 0 and source.rebuilds == 2
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        draws=st.lists(
+            st.tuples(st.integers(0, 600), st.integers(0, 80), st.booleans()),
+            min_size=1,
+            max_size=14,
+        ).map(lambda ds: ds + ds[: len(ds) // 2]),  # and some repeats
+        max_streams=st.integers(1, 4),
+    )
+    def test_any_draw_sequence_matches_the_offline_stream(self, draws, max_streams):
+        source = RangeSource(STREAM, max_streams=max_streams)
+        stream = offline(0, 700)
+        for offset, n, with_receipt in draws:
+            if with_receipt:
+                data, receipt = source.read_range_with_receipt(offset, n)
+                assert receipt.crc == payload_crc(data)
+            else:
+                data = source.read_range(offset, n)
+            assert data == stream[offset : offset + n]
+            assert len(source._streams) <= max_streams
+            assert len(source._recent) <= max_streams
+
+
+class TestPoolRetry:
+    def test_retried_chunk_replays_in_the_worker(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        monkeypatch.setattr(engine, "_WORKER_SOURCES", {})
+        x, n = 4096, 1024
+        for k in range(4):  # chunk X and X+n … X+3n, as a queue of 4 would
+            engine._serve_chunk((k, STREAM, x + k * n, n, True, None))
+        source = engine._WORKER_SOURCES[STREAM]
+        rebuilds = source.rebuilds
+        data, crc, _ = engine._serve_chunk((0, STREAM, x, n, True, None), attempt=1)
+        assert source.rebuilds == rebuilds
+        assert source.replays == 1
+        assert data == offline(x, n) and crc == payload_crc(data)
+
+    def test_screen_trip_keeps_its_verdicts_and_bytes(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        eng = ServeEngine(DEFAULT_STREAM, workers=1)
+        eng.start()
+        try:
+            served = b"".join(eng.generate_range(k * CHUNK, CHUNK, chunk_id=k) for k in range(12))
+            chunks = eng.status()["chunks"]
+            events = eng.health.events
+        finally:
+            eng.close()
+        assert served == offline(0, 12 * CHUNK, DEFAULT_STREAM)
+        assert (chunks["screen_rejects"], chunks["retries"], chunks["degraded"]) == (4, 2, 1)
+        assert events[0]["test"] == "rct" and events[0]["position"] == FIRST_RCT_POSITION
+        assert TRIP_CHUNK * CHUNK < FIRST_RCT_POSITION < (TRIP_CHUNK + 1) * CHUNK
