@@ -39,7 +39,6 @@ def main() -> None:
         block_bytes=BLOCK_BYTES,
         timeout=2.0,
         max_retries=2,
-        verify_crc=True,
         fault_plan=plan,
     )
 

@@ -514,7 +514,6 @@ def _cmd_gen(args) -> int:
                 block_bytes=block_bytes,
                 timeout=args.timeout,
                 max_retries=args.retries,
-                verify_crc=True,
                 fused=args.fused,
                 clocks_per_call=args.clocks_per_call,
             )

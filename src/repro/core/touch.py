@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StreamTouch", "Receipt", "TouchedPayload"]
+__all__ = ["StreamTouch", "Receipt"]
 
 #: Bit-reversal of each byte value, as a ``bytes.translate`` table — maps
 #: the repo's MSB-first CRC convention onto zlib's reflected (LSB-first)
@@ -67,21 +67,6 @@ class Receipt:
     def ones_fraction(self) -> float:
         """Fraction of set bits; 0.5 for an unbiased source."""
         return self.ones / (8 * self.nbytes) if self.nbytes else float("nan")
-
-
-@dataclass(frozen=True)
-class TouchedPayload:
-    """A payload whose receipt was computed while the bytes were hot.
-
-    Worker ``produce`` callables return this instead of raw bytes to
-    tell :func:`repro.robust.supervisor.attempt_shell` that the CRC is
-    already known — the shell then skips its own (cold) CRC
-    pass.  The CRC covers the payload's canonical byte form, same
-    convention as ``payload_crc``.
-    """
-
-    data: bytes | np.ndarray
-    crc: int
 
 
 class StreamTouch:

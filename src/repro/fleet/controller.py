@@ -107,7 +107,6 @@ class FleetConfig:
     heartbeat_timeout: float = 5.0
     chunk_bytes: int = 1 << 16
     max_inflight_per_worker: int = 2  # pipelining depth per member
-    verify_crc: bool = True
     screen: bool = True
     #: Per-worker RCT/APT false-positive rate.  A health failure here
     #: *evicts* (it is not just latched like the engine's /healthz
@@ -250,7 +249,6 @@ class FleetController:
             spec = WorkerSpec(
                 stream=self.stream,
                 heartbeat_interval=self.config.heartbeat_interval,
-                verify_crc=self.config.verify_crc,
                 plan_json=fault_plan.to_json() if fault_plan is not None else None,
                 max_streams=self.config.max_streams,
                 ring=self._ring.spec if self._ring is not None else None,
@@ -454,10 +452,9 @@ class FleetController:
         if len(payload) != job.length:
             self._strike(member, job, now, f"short payload ({len(payload)}B)")
             return
-        if self.config.verify_crc and msg.crc is not None:
-            if payload_crc(payload) != msg.crc:
-                self._strike(member, job, now, "crc mismatch")
-                return
+        if payload_crc(payload) != msg.crc:
+            self._strike(member, job, now, "crc mismatch")
+            return
         if self.config.screen and self._screens.setdefault(
             member.worker_id, HealthScreen(self.config.alpha)
         ).update(payload) is not None:

@@ -100,7 +100,6 @@ class WorkerSpec:
 
     stream: StreamConfig = field(default_factory=StreamConfig)
     heartbeat_interval: float = 1.0
-    verify_crc: bool = True
     plan_json: str | None = None
     max_streams: int = 8  # RangeSource front cache per worker
     #: Shared-memory result ring ``(name, slot_bytes, slots)`` to attach,

@@ -8,8 +8,8 @@ payload is drawn by the same stream-range body as a served pool chunk
 or a multi-device partition (:func:`~repro.serve.engine.range_attempt`)
 inside the shared :func:`~repro.robust.supervisor.worker_attempt` shell
 — fault-plan hooks keyed by ``(worker_id, job_index)``, a scoped
-metrics registry shipped back with every result, a single-touch CRC
-receipt taken before any injected corruption, the payload parked in the
+metrics registry shipped back with every result, a CRC receipt taken
+before any injected corruption, the payload parked in the
 job's shared-memory ring slot — so the controller's receipt
 verification sees a bleeding transfer exactly the way the batch
 supervisor would.
@@ -116,7 +116,7 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
         # plane instead.
         ring = (*spec.ring, job.ring_slot) if spec.ring and job.ring_slot is not None else None
         payload, crc, metrics, spans = range_attempt(
-            source, worker_id, job_index, job.offset, job.length, plan, spec.verify_crc,
+            source, worker_id, job_index, job.offset, job.length, plan,
             shell=worker_attempt, ring=ring, account=account, trace=job.trace,
             span_name="fleet.worker_chunk", process_name=f"fleet-worker-{worker_id}",
         )

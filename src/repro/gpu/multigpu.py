@@ -13,7 +13,7 @@ output — is testable exactly.
 Partitions are submitted through a
 :class:`~repro.robust.supervisor.PartitionSupervisor`, which adds the
 failure handling the paper's demo fan-out lacks: per-partition timeouts,
-retry with exponential backoff, optional CRC verification of each
+retry with exponential backoff, CRC verification of each
 received payload, and graceful degradation to in-process generation when
 the worker pool is exhausted.  Because each partition is a pure function
 of ``(seed, start_block, n_blocks)``, a retried partition regenerates
@@ -226,13 +226,12 @@ class _SupervisedDevices:
     """Supervision plumbing shared by the two partitioned generators."""
 
     def _init_supervision(
-        self, mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
+        self, mp_context, timeout, max_retries, degrade_sequential, fault_plan
     ) -> None:
         self.mp_context = mp_context  # None: PartitionSupervisor's fork-preferring default
         self.config = SupervisorConfig(
             timeout=timeout,
             max_retries=max_retries,
-            verify_crc=verify_crc,
             degrade_sequential=degrade_sequential,
         )
         self.fault_plan = fault_plan
@@ -268,11 +267,11 @@ class _SupervisedDevices:
         return results
 
 
-def _device_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, dict | None]:
+def _device_worker(job, attempt: int = 0) -> tuple[bytes, int, dict, dict | None]:
     """Generate one partition (runs in a worker process = one 'GPU').
 
-    ``job`` is ``(device_id, stream, offset, n, verify_crc, plan_json,
-    trace, ring)``: the shared stream-range body
+    ``job`` is ``(device_id, stream, offset, n, plan_json, trace,
+    ring)``: the shared stream-range body
     (:func:`~repro.serve.engine.range_attempt`) in the
     :func:`~repro.robust.supervisor.worker_attempt` shell, over a fresh
     generator.  Counter-based kernels (AES-CTR, the paper's §5.4
@@ -280,7 +279,7 @@ def _device_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, dict
     and discard, which caps their multi-device speedup — exactly why the
     paper partitions *counter space* rather than a serial stream.
     """
-    device_id, stream, offset, n, verify_crc, plan_json, trace, ring = job
+    device_id, stream, offset, n, plan_json, trace, ring = job
     source = RangeSource(stream, max_streams=1)
 
     def account(wall: float) -> None:
@@ -289,7 +288,7 @@ def _device_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, dict
         obs.inc("repro_device_attempts_total", 1, device=device_id)
 
     return range_attempt(
-        source, device_id, attempt, offset, n, FaultPlan.resolve(plan_json), verify_crc,
+        source, device_id, attempt, offset, n, FaultPlan.resolve(plan_json),
         shell=worker_attempt, ring=ring, account=account, trace=trace,
         span_name="device.partition", process_name=f"device-worker-{device_id}",
     )
@@ -307,9 +306,10 @@ class MultiDeviceGenerator(_SupervisedDevices):
         Worker count (the paper's GPU count).
     block_bytes:
         Partitioning granularity of the output stream.
-    timeout / max_retries / verify_crc / degrade_sequential:
+    timeout / max_retries / degrade_sequential:
         Supervision policy — see
-        :class:`~repro.robust.supervisor.SupervisorConfig`.
+        :class:`~repro.robust.supervisor.SupervisorConfig`.  Every
+        partition's CRC receipt is checked on arrival.
     fault_plan:
         Deterministic fault injection for tests and drills (also
         activatable via the ``REPRO_FAULT_PLAN`` env var).
@@ -336,7 +336,6 @@ class MultiDeviceGenerator(_SupervisedDevices):
         mp_context: str | None = None,
         timeout: float | None = None,
         max_retries: int = 2,
-        verify_crc: bool = False,
         degrade_sequential: bool = True,
         fault_plan: FaultPlan | None = None,
         fused: bool | None = None,
@@ -357,9 +356,7 @@ class MultiDeviceGenerator(_SupervisedDevices):
             algorithm, seed, lanes, fused=fused, clocks_per_call=self.clocks_per_call
         )
         self.use_ring = bool(use_ring)
-        self._init_supervision(
-            mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
-        )
+        self._init_supervision(mp_context, timeout, max_retries, degrade_sequential, fault_plan)
 
     def _jobs(self, total_blocks: int, ring: SharedMemoryRing | None = None) -> dict[int, tuple]:
         plan_json, wire = self._job_context()
@@ -369,7 +366,6 @@ class MultiDeviceGenerator(_SupervisedDevices):
                 self.stream,
                 p.start_block * self.block_bytes,
                 p.n_blocks * self.block_bytes,
-                self.config.verify_crc,
                 plan_json,
                 wire,
                 (*ring.spec, p.device_id) if ring is not None else None,
@@ -419,7 +415,7 @@ class MultiDeviceGenerator(_SupervisedDevices):
         return self.stream.make_rng().random_bytes(total_blocks * self.block_bytes)
 
 
-def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, dict | None]:
+def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int, dict, dict | None]:
     """Run one device's lane window (a worker process = one 'GPU').
 
     Same shared :func:`~repro.robust.supervisor.worker_attempt` shell as
@@ -433,12 +429,11 @@ def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, d
         lane_offset,
         n_lanes,
         n_bits,
-        verify_crc,
         plan_json,
         fused,
         clocks_per_call,
-    ) = job[:10]
-    trace = job[10] if len(job) > 10 else None
+    ) = job[:9]
+    trace = job[9] if len(job) > 9 else None
     from repro.core.engine import BitslicedEngine
 
     module_name, cls_name = cls_path.rsplit(".", 1)
@@ -459,7 +454,6 @@ def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int | None, dict, d
         device_id,
         attempt,
         FaultPlan.resolve(plan_json),
-        verify_crc,
         produce,
         trace=trace,
         span_name="device.lanes",
@@ -492,7 +486,6 @@ class LanePartitionedGenerator(_SupervisedDevices):
         mp_context: str | None = None,
         timeout: float | None = None,
         max_retries: int = 2,
-        verify_crc: bool = False,
         degrade_sequential: bool = True,
         fault_plan: FaultPlan | None = None,
         fused: bool = True,
@@ -511,9 +504,7 @@ class LanePartitionedGenerator(_SupervisedDevices):
         self.seed = seed
         self.total_lanes = total_lanes
         self.n_devices = n_devices
-        self._init_supervision(
-            mp_context, timeout, max_retries, verify_crc, degrade_sequential, fault_plan
-        )
+        self._init_supervision(mp_context, timeout, max_retries, degrade_sequential, fault_plan)
         self.fused = bool(fused)
         self.clocks_per_call = int(clocks_per_call)
 
@@ -535,7 +526,6 @@ class LanePartitionedGenerator(_SupervisedDevices):
                     p.start_block,
                     p.n_blocks,
                     n_bits,
-                    self.config.verify_crc,
                     plan_json,
                     self.fused,
                     self.clocks_per_call,
@@ -559,7 +549,6 @@ class LanePartitionedGenerator(_SupervisedDevices):
                 0,
                 self.total_lanes,
                 n_bits,
-                False,
                 None,
                 self.fused,
                 self.clocks_per_call,

@@ -23,7 +23,7 @@ across a supervised process pool:
   to :func:`~repro.nist.suite.run_suite` on the same seed.
 * **Supervision** — shards run under a
   :class:`~repro.robust.supervisor.PartitionSupervisor`: per-round
-  timeout, retry with backoff on fresh pools, optional CRC verification
+  timeout, retry with backoff on fresh pools, CRC verification
   of the (JSON) result payload, and degradation to in-process execution
   when the pool is exhausted.  Because a shard is a pure function of
   ``(seed, seq_start, n_seqs, tests)``, a retried shard reproduces its
@@ -176,7 +176,7 @@ def plan_shards(
     return shards
 
 
-def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, None]:
+def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int, dict, None]:
     """Run one shard (a worker process of the battery pool).
 
     Spawns the shard's own :class:`~repro.core.generator.BSRNG`, seeks
@@ -202,7 +202,6 @@ def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, None]
         fused,
         clocks_per_call,
         dtype_str,
-        verify_crc,
         plan_json,
     ) = job
     from repro.core.generator import BSRNG
@@ -254,7 +253,7 @@ def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int | None, dict, None]
         return json.dumps(out, sort_keys=True).encode()
 
     plan = FaultPlan.resolve(plan_json)
-    return worker_attempt(shard_id, attempt, plan, verify_crc, produce, span_name="nist.shard")
+    return worker_attempt(shard_id, attempt, plan, produce, span_name="nist.shard")
 
 
 def run_suite_sequential(
@@ -303,7 +302,6 @@ def run_suite_parallel(
     timeout: float | None = None,
     max_retries: int = 2,
     mp_context: str | None = None,
-    verify_crc: bool = True,
     degrade_sequential: bool = True,
     fault_plan=None,
     seqs_per_shard: int | None = None,
@@ -322,9 +320,9 @@ def run_suite_parallel(
 
     ``tests`` is an iterable of :data:`~repro.nist.suite.ALL_TESTS`
     *names* (shard payloads must pickle; callables stay parent-side).
-    ``timeout`` / ``max_retries`` / ``verify_crc`` /
-    ``degrade_sequential`` are the
-    :class:`~repro.robust.supervisor.SupervisorConfig` policy; a hung or
+    ``timeout`` / ``max_retries`` / ``degrade_sequential`` are the
+    :class:`~repro.robust.supervisor.SupervisorConfig` policy (every
+    shard's CRC receipt is checked on arrival); a hung or
     crashed shard is retried on a fresh pool and ultimately degrades to
     in-process execution rather than hanging the battery.  ``fault_plan``
     threads a :class:`~repro.robust.faults.FaultPlan` into the shard
@@ -355,7 +353,6 @@ def run_suite_parallel(
             fused,
             clocks_per_call,
             dtype_str,
-            verify_crc,
             plan_json,
         )
         for s in shards
@@ -363,7 +360,6 @@ def run_suite_parallel(
     config = SupervisorConfig(
         timeout=timeout,
         max_retries=max_retries,
-        verify_crc=verify_crc,
         degrade_sequential=degrade_sequential,
         processes=workers,
     )
@@ -397,8 +393,7 @@ def run_suite_parallel(
             decoded = json.loads(raw[s.shard_id].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise PartitionCorruptionError(
-                f"shard {s.shard_id}: undecodable result payload ({exc}); "
-                "enable verify_crc to reject corrupt shards at receipt"
+                f"shard {s.shard_id}: undecodable result payload ({exc})"
             ) from None
         for name in s.tests:
             rec = decoded[name]

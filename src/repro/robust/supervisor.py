@@ -10,7 +10,7 @@ with the failure handling a production deployment needs:
   are resubmitted on a fresh pool.  Each partition is a pure function of
   ``(seed, start_block, n_blocks)``, so a retried partition regenerates
   *byte-identical* data and the reconstructed stream is unaffected;
-* optional **CRC verification** — workers checksum their payload before
+* **CRC verification** — workers checksum their payload before
   returning it (:func:`repro.crc.table_crc_bytes`); the supervisor
   recomputes on receipt and treats a mismatch as a failed attempt;
 * **graceful degradation** — when the worker pool has exhausted its
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro import obs
-from repro.core.touch import TouchedPayload
 from repro.crc import CRC32_IEEE, table_crc_bytes
 from repro.errors import DeviceFailureError, PartitionCorruptionError, SpecificationError
 from repro.obs import flight
@@ -74,13 +73,12 @@ def attempt_shell(
     partition: int,
     attempt: int,
     plan: FaultPlan | None,
-    verify_crc: bool,
     produce: Callable[[], Any],
     trace=None,
     span_name: str = "worker.attempt",
     process_name: str | None = None,
     **span_args,
-) -> tuple[Any, int | None, dict | None]:
+) -> tuple[Any, int, dict | None]:
     """One worker attempt → ``(result, crc, spans)``: the one fault/CRC/span shell.
 
     Every process-level worker body runs in here, keyed by ``(partition,
@@ -91,12 +89,10 @@ def attempt_shell(
     faults so injected corruption looks like a damaged transfer; then
     those faults, which keep an ndarray payload's dtype and shape.
 
-    ``produce`` returns ``bytes`` or an ndarray, or a
-    :class:`~repro.core.touch.TouchedPayload` when it drew through the
-    single-touch path — its receipt is then reused instead of a second,
-    cold CRC pass.  No metrics scope: the serve pool calls this directly
-    and ships none; every other worker goes through
-    :func:`worker_attempt`.
+    ``produce`` returns ``bytes`` or an ndarray; the receipt is always
+    one cold :func:`payload_crc` pass over it.  No metrics scope: the
+    serve pool calls this directly and ships none; every other worker
+    goes through :func:`worker_attempt`.
     """
     if plan is not None:
         plan.pre_generate(partition, attempt)
@@ -109,11 +105,7 @@ def attempt_shell(
         **span_args,
     ) as collector:
         payload = produce()
-    receipt = None
-    if isinstance(payload, TouchedPayload):
-        payload, receipt = payload.data, payload.crc
-        obs.inc("repro_touch_receipts_reused_total", 1)
-    crc = (payload_crc(payload) if receipt is None else receipt) if verify_crc else None
+    crc = payload_crc(payload)
     if plan is not None:
         data = payload.tobytes() if isinstance(payload, np.ndarray) else payload
         mutated = plan.post_generate(partition, attempt, data)
@@ -130,31 +122,28 @@ def worker_attempt(
     partition: int,
     attempt: int,
     plan: FaultPlan | None,
-    verify_crc: bool,
     produce: Callable[[], Any],
     **shell_args,
-) -> tuple[Any, int | None, dict, dict | None]:
+) -> tuple[Any, int, dict, dict | None]:
     """:func:`attempt_shell` in a fresh :func:`repro.obs.scoped` registry
     (spawn-safe: made here, never inherited) → ``(result, crc, metrics,
     spans)``, the one result shape :class:`PartitionSupervisor` and the
     fleet controller consume."""
     with obs.scoped() as reg:
-        payload, crc, spans = attempt_shell(
-            partition, attempt, plan, verify_crc, produce, **shell_args
-        )
+        payload, crc, spans = attempt_shell(partition, attempt, plan, produce, **shell_args)
         metrics = reg.snapshot()
     return payload, crc, metrics, spans
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Retry/timeout/verification policy for one generation job."""
+    """Retry/timeout/degrade policy for one generation job (the CRC
+    receipt of every result is always checked)."""
 
     timeout: float | None = None  # seconds per partition round; None = wait forever
     max_retries: int = 2  # pool rounds after the first (attempts = 1 + max_retries)
     backoff_base: float = 0.05  # sleep before retry round r: base * factor**(r-1)
     backoff_factor: float = 2.0
-    verify_crc: bool = False
     degrade_sequential: bool = True
     maxtasksperchild: int | None = 1
     #: Pool size cap.  ``None`` (the historical behaviour) sizes each
@@ -232,8 +221,9 @@ class PartitionSupervisor:
     ----------
     worker:
         A picklable module-level function ``worker(payload, attempt) ->
-        (result, crc_or_None, metrics_or_None, spans_or_None)`` — the
-        :func:`worker_attempt` result shape.  The attempt number is
+        (result, crc, metrics_or_None, spans_or_None)`` — the
+        :func:`worker_attempt` result shape; a result whose receipt does
+        not match its bytes is a failed attempt.  The attempt number is
         threaded through so deterministic fault plans can key on it.
     mp_context:
         ``"fork"`` / ``"spawn"`` / ``None`` (auto: fork where available).
@@ -245,7 +235,7 @@ class PartitionSupervisor:
 
     def __init__(
         self,
-        worker: Callable[[Any, int], tuple[Any, int | None, dict | None, dict | None]],
+        worker: Callable[[Any, int], tuple[Any, int, dict | None, dict | None]],
         mp_context: str | None = None,
         config: SupervisorConfig | None = None,
     ) -> None:
@@ -323,8 +313,8 @@ class PartitionSupervisor:
         except Exception as exc:  # worker raised (crash, bad state, ...)
             event = PartitionEvent(pid, attempt, "error", f"{type(exc).__name__}: {exc}")
         else:
-            got = payload_crc(result) if self.config.verify_crc else None
-            if got is None or (crc is not None and got == crc):
+            got = payload_crc(result)
+            if got == crc:
                 results[pid] = result
                 self._accepted(pid, metrics, spans)
                 return True

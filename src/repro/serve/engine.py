@@ -10,8 +10,9 @@ machinery the batch layers built:
   byte-identical;
 * **supervision** — the per-chunk dispatch applies the
   :class:`~repro.robust.supervisor.SupervisorConfig` policy (timeout,
-  retry with backoff, optional CRC receipt via
-  :func:`~repro.robust.supervisor.payload_crc`) against a *persistent*
+  retry with backoff, a CRC receipt via
+  :func:`~repro.robust.supervisor.payload_crc` on every attempt) against
+  a *persistent*
   ``multiprocessing.Pool`` instead of the batch supervisor's
   pool-per-round: a long-lived service cannot pay pool startup per
   request, and a worker that crashes is replaced by the pool while the
@@ -33,12 +34,14 @@ machinery the batch layers built:
   acceptance tail: the SP 800-90B Repetition Count / Adaptive Proportion
   screen (:class:`HealthState`, one
   :class:`~repro.robust.health.HealthScreen`), the dispatch counters,
-  then the QA sidecar.  A pool attempt that fails the screen is retried
-  like any other failed attempt (the chunk is replayed from the
-  worker's recent ranges, or regenerated if they no longer hold it);
-  fleet and inline bytes cannot be retried away and are served.  Either
-  way the verdict is *latched*: ``/healthz`` reports unhealthy from the
-  first failure until an operator intervenes.
+  then the QA sidecar.  A chunk reaches the tail only once its CRC
+  receipt verified, so its bytes are the generator's own and a retry
+  could only return them again: a screen failure is the stream's, never
+  a transfer fault.  The chunk is served and the verdict is *latched* —
+  ``/healthz`` reports unhealthy from the first failure until an
+  operator intervenes.  Only timeouts, worker errors and CRC mismatches
+  are retried (a retried chunk is replayed from the worker's recent
+  ranges, or regenerated if they no longer hold it).
 
 Worker processes each own a bounded :class:`RangeSource` cache of
 generator fronts per stream config (the *per-worker ownership
@@ -62,7 +65,6 @@ import numpy as np
 from repro import obs
 from repro.core.generator import BSRNG
 from repro.core.ring import attach_ring
-from repro.core.touch import Receipt, TouchedPayload
 from repro.errors import DeviceFailureError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs import flight
@@ -143,12 +145,12 @@ class RangeSource:
     generator.
 
     Ahead of the fronts sits a *replay* tier: the last ``max_streams``
-    ranges returned, keyed by ``(offset, n, draw method)`` and held by
-    reference, not copied (``bytes`` are immutable, a :class:`Receipt`
-    is frozen).  Every range is a pure function of ``(config, offset,
-    n)``, so a retried chunk — rejected by the health screen, or damaged
-    after it left the generator — is answered from the window without
-    advancing any generator, instead of rebuilding behind every front.
+    ranges returned, keyed by ``(offset, n)`` and held by reference, not
+    copied (``bytes`` are immutable).  Every range is a pure function of
+    ``(config, offset, n)``, so a retried chunk — damaged after it left
+    the generator, or lost with a timed-out attempt — is answered from
+    the window without advancing any generator, instead of rebuilding
+    behind every front.
     The window holds at most ``max_streams`` ranges (8 × 64 KiB for a
     serve pool worker).  One internal lock makes the shared
     inline-fallback instance safe under concurrent callers.
@@ -160,20 +162,11 @@ class RangeSource:
         self.config = config
         self.max_streams = max_streams
         self._streams: dict[int, BSRNG] = {}  # next served offset -> generator
-        # (offset, n, draw method) -> what that draw returned
-        self._recent: dict[tuple[int, int, str], bytes | tuple[bytes, Receipt]] = {}
+        self._recent: dict[tuple[int, int], bytes] = {}  # (offset, n) -> its bytes
         self._lock = threading.Lock()
         self.rebuilds = 0
         self.forward_skips = 0
         self.replays = 0
-
-    def read_range(self, offset: int, n: int) -> bytes:
-        """The stream's bytes ``[offset, offset + n)``."""
-        return self._draw(offset, n, "read")
-
-    def read_range_with_receipt(self, offset: int, n: int) -> tuple[bytes, Receipt]:
-        """The same bytes plus their :meth:`BSRNG.read_with_receipt` receipt."""
-        return self._draw(offset, n, "read_with_receipt")
 
     def publish_metrics(self) -> None:
         """:meth:`BSRNG.publish_metrics` for every cached generator."""
@@ -181,10 +174,11 @@ class RangeSource:
             for rng in self._streams.values():
                 rng.publish_metrics()
 
-    def _draw(self, offset: int, n: int, method: str):
+    def read_range(self, offset: int, n: int) -> bytes:
+        """The stream's bytes ``[offset, offset + n)``."""
         if offset < 0 or n < 0:
             raise SpecificationError("offset and n must be non-negative")
-        key = (offset, n, method)
+        key = (offset, n)
         with self._lock:
             out = self._recent.pop(key, None)
             if out is not None:
@@ -202,7 +196,7 @@ class RangeSource:
                     rng = self.config.make_rng()
                     self.rebuilds += 1
                 rng.skip_bytes(offset - rng.tell())
-            out = getattr(rng, method)(n)
+            out = rng.read(n)
             self._streams.pop(offset + n, None)  # a collision replaces only itself
             for cache in (self._streams, self._recent):
                 if len(cache) >= self.max_streams:
@@ -219,7 +213,6 @@ def range_attempt(
     offset: int,
     n: int,
     plan: FaultPlan | None,
-    verify_crc: bool,
     shell=attempt_shell,
     ring: tuple | None = None,
     account=None,
@@ -228,34 +221,28 @@ def range_attempt(
     """Generate ``[offset, offset + n)`` of *source*'s stream inside *shell*.
 
     The one body of every stream-range worker: a served pool chunk, a
-    fleet lease and a multi-device partition.  With *verify_crc* it
-    draws through :meth:`RangeSource.read_range_with_receipt`, so
-    *shell* (:func:`~repro.robust.supervisor.attempt_shell` or
-    :func:`~repro.robust.supervisor.worker_attempt`) reuses the
-    receipt.  A ``bias`` fault keyed by *partition* masks the bytes
-    before the receipt — a defective generator verifies clean — and
-    only then does the shell take a cold CRC.  *account*, if given, gets
-    the draw's wall time inside the shell's metrics scope.  With a
-    *ring* ``(name, slot_bytes, slots, slot)`` the final payload (after
-    post-generation faults) is parked in that slot and its
+    fleet lease and a multi-device partition.  It draws through
+    :meth:`RangeSource.read_range`; a ``bias`` fault keyed by
+    *partition* then masks the bytes, so the cold CRC that *shell*
+    (:func:`~repro.robust.supervisor.attempt_shell` or
+    :func:`~repro.robust.supervisor.worker_attempt`) takes next covers
+    the bias — a defective generator verifies clean.  *account*, if
+    given, gets the draw's wall time inside the shell's metrics scope.
+    With a *ring* ``(name, slot_bytes, slots, slot)`` the final payload
+    (after post-generation faults) is parked in that slot and its
     :class:`~repro.core.ring.RingSlotRef` returned in its place.
     """
 
     def produce():
         t0 = time.perf_counter()
-        if verify_crc:
-            data, receipt = source.read_range_with_receipt(offset, n)
-        else:
-            data, receipt = source.read_range(offset, n), None
+        data = source.read_range(offset, n)
         if plan is not None:
-            biased = plan.apply_bias(partition, data)
-            if biased is not data:
-                data, receipt = biased, None
+            data = plan.apply_bias(partition, data)
         if account is not None:
             account(time.perf_counter() - t0)
-        return data if receipt is None else TouchedPayload(data, receipt.crc)
+        return data
 
-    out = shell(partition, attempt, plan, verify_crc, produce, offset=offset, n=n, **shell_args)
+    out = shell(partition, attempt, plan, produce, offset=offset, n=n, **shell_args)
     if ring is not None:
         name, slot_bytes, slots, slot = ring
         if len(out[0]) <= slot_bytes:
@@ -277,19 +264,19 @@ def _worker_init() -> None:
     obs.disable_tracing()
 
 
-def _serve_chunk(job: tuple, attempt: int = 0) -> tuple[bytes, int | None, dict | None]:
+def _serve_chunk(job: tuple, attempt: int = 0) -> tuple[bytes, int, dict | None]:
     """One pool chunk → ``(data, crc, spans)``: :func:`range_attempt` in the
     bare shell (serve workers ship no metrics), faults from
     ``REPRO_FAULT_PLAN`` keyed by ``(chunk_id, attempt)``.
 
-    ``job`` is ``(chunk_id, config, offset, n, verify_crc, trace)``.
+    ``job`` is ``(chunk_id, config, offset, n, trace)``.
     """
-    chunk_id, config, offset, n, verify_crc, trace = job
+    chunk_id, config, offset, n, trace = job
     source = _WORKER_SOURCES.get(config)
     if source is None:
         source = _WORKER_SOURCES[config] = RangeSource(config)
     return range_attempt(
-        source, chunk_id, attempt, offset, n, FaultPlan.from_env(), verify_crc,
+        source, chunk_id, attempt, offset, n, FaultPlan.from_env(),
         trace=trace, span_name="serve.worker_chunk", process_name="serve-pool-worker",
     )
 
@@ -316,13 +303,16 @@ class HealthState:
     def screen(self, data: bytes) -> str | None:
         """Screen one chunk; returns the failing test name or ``None``.
 
-        On failure the verdict latches unhealthy; the screen has reset
-        its tests, so the retried chunk is screened from a clean slate.
+        A failing chunk is still served, so unlike the screen (whose
+        other holders discard or requeue it) the position counts it;
+        the screen has reset its tests, so the next chunk starts clean.
+        On failure the verdict latches unhealthy.
         """
         with self._lock:
             event = self._screen.update(data)
             if event is None:
                 return None
+            self._screen.position += len(data)
             self._latch(
                 {"test": event.test, "position": event.position, "time": time.time()},
                 position=event.position,
@@ -407,8 +397,8 @@ class ServeEngine:
         Pool size.  ``0`` disables the pool entirely — every chunk is
         generated inline (useful for tests and single-core boxes).
     supervision:
-        Timeout/retry/CRC policy per chunk
-        (:class:`~repro.robust.supervisor.SupervisorConfig`; its
+        Timeout/retry policy per chunk; every attempt's CRC receipt is
+        checked (:class:`~repro.robust.supervisor.SupervisorConfig`; its
         ``degrade_sequential`` flag controls the inline fallback when the
         pool exhausts its retries).
     screen:
@@ -541,9 +531,10 @@ class ServeEngine:
 
         Waits for the pool attempt (timeout), verifies its CRC receipt,
         screens and QA-observes it — so callers that collect in stream
-        order screen in stream order — and retries a failed attempt in
-        place with backoff.  Falls back to inline generation when the
-        pool is exhausted and degradation is enabled.  Raises
+        order screen in stream order — and retries an attempt that timed
+        out, raised or failed its receipt in place with backoff.  Falls
+        back to inline generation when the pool is exhausted and
+        degradation is enabled.  Raises
         :class:`~repro.errors.DeviceFailureError` only when every path
         failed.  Safe to call from many threads (one ticket each): the
         persistent pool multiplexes, and the inline fallback serialises
@@ -592,8 +583,8 @@ class ServeEngine:
                     obs.inc("repro_serve_chunk_retries_total")
                     ticket.pending = self._dispatch(ticket, attempt)
                 data = self._await_attempt(ticket, cfg)
-                if data is not None and self._finish(data, retry=True) is not None:
-                    return data
+                if data is not None:
+                    return self._finish(data)
             if not cfg.degrade_sequential:
                 raise DeviceFailureError(
                     f"chunk {ticket.chunk_id} (offset {ticket.offset}, {ticket.n} bytes) "
@@ -603,21 +594,18 @@ class ServeEngine:
             self._count(degraded=1)
             obs.inc("repro_serve_degraded_chunks_total")
         # inline path: workers disabled, or the pool/fleet exhausted
-        # (degrade).  The inline stream is deterministic and fault-free,
-        # so a screening failure here latches the verdict but cannot be
-        # retried away — the bytes are served and /healthz tells the
-        # operator the generator itself is suspect.
+        # (degrade).  The inline stream is deterministic and fault-free.
         return self._finish(self._inline_source().read_range(ticket.offset, ticket.n))
 
-    def _finish(self, data: bytes, retry: bool = False) -> bytes | None:
-        """The one acceptance tail: screen → count → QA.  A screen failure
-        latches :attr:`health`; with *retry* (a pool attempt, which can be
-        regenerated) it also rejects the chunk and returns ``None``."""
+    def _finish(self, data: bytes) -> bytes:
+        """The one acceptance tail: screen → count → QA.  Every chunk here
+        is the generator's own bytes (a pool attempt's receipt verified),
+        so a screen failure is the stream's: it latches :attr:`health`
+        and the chunk is served — retrying would return the same bytes
+        and trip again, and /healthz tells the operator the generator
+        itself is suspect."""
         if self.screen and self.health.screen(data) is not None:
             self._count(screen_rejects=1)
-            if retry:
-                obs.inc("repro_serve_chunk_failures_total", 1, kind="screen")
-                return None
         self._count(chunks_ok=1)
         if self.qa is not None:
             self.qa.observe(data)  # non-blocking
@@ -626,8 +614,7 @@ class ServeEngine:
     def _dispatch(self, ticket: ChunkTicket, attempt: int) -> multiprocessing.pool.AsyncResult:
         """Start one pool attempt of *ticket*'s chunk."""
         wire = ticket.span.context.to_wire() if ticket.span is not None else None
-        job = (ticket.chunk_id, self.config, ticket.offset, ticket.n,
-               self.supervision.verify_crc, wire)
+        job = (ticket.chunk_id, self.config, ticket.offset, ticket.n, wire)
         return self._pool.apply_async(_serve_chunk, (job, attempt))
 
     def _await_attempt(self, ticket: ChunkTicket, cfg: SupervisorConfig) -> bytes | None:
@@ -648,7 +635,7 @@ class ServeEngine:
             tracer = obs.active_tracer()
             if tracer is not None:
                 tracer.merge(spans)
-        if cfg.verify_crc and (crc is None or payload_crc(data) != crc):
+        if payload_crc(data) != crc:
             self._count(crc_rejects=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="corrupt")
             flight.record("crc-reject", chunk=ticket.chunk_id, offset=ticket.offset, n=ticket.n)
@@ -668,7 +655,6 @@ class ServeEngine:
             "supervision": {
                 "timeout": self.supervision.timeout,
                 "max_retries": self.supervision.max_retries,
-                "verify_crc": self.supervision.verify_crc,
                 "degrade_sequential": self.supervision.degrade_sequential,
             },
             "screen": self.screen,

@@ -49,9 +49,7 @@ def test_serve_pool_series(monkeypatch):
     engine = ServeEngine(
         StreamConfig(algorithm="trivium", seed=7, lanes=256),
         workers=1,
-        supervision=SupervisorConfig(
-            timeout=60.0, max_retries=2, verify_crc=True, backoff_base=0.0
-        ),
+        supervision=SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0),
     )
     with obs.scoped() as reg:
         engine.start()
@@ -127,7 +125,6 @@ MULTI_DEVICE = {
     ("repro_supervisor_events_total", ("kind",)),
     ("repro_supervisor_partition_seconds", ()),
     ("repro_supervisor_retries_total", ()),
-    ("repro_touch_receipts_reused_total", ("partition",)),
 }
 
 
@@ -138,7 +135,6 @@ def test_multi_device_series():
         lanes=64,
         n_devices=2,
         block_bytes=1024,
-        verify_crc=True,
         fault_plan=FaultPlan((Fault("crash", 1, 0),)),
     )
     with obs.scoped() as reg:

@@ -203,7 +203,7 @@ class TestSupervision:
 
     def test_corrupt_payload_is_caught_by_crc(self, sequential_reports):
         plan = FaultPlan(faults=(Fault("corrupt", partition=1, attempt=0, corrupt_bytes=4),))
-        par = self._run(fault_plan=plan, verify_crc=True)
+        par = self._run(fault_plan=plan)
         _assert_same_aggregates(par, sequential_reports["mickey2"])
         assert any(e.kind == "corrupt" for e in par.supervision.events)
 

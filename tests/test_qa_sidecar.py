@@ -74,7 +74,7 @@ class TestEngineIntegration:
             workers=1,
             screen=False,
             qa=sidecar,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=2, verify_crc=True),
+            supervision=SupervisorConfig(timeout=60.0, max_retries=2),
         )
         engine.start()
         try:

@@ -1,11 +1,11 @@
-"""The one stream-range body: single-touch receipts and faults in every worker.
+"""The one stream-range body: one cold CRC receipt and faults in every worker.
 
 A served pool chunk, a fleet lease and a multi-device partition all draw
 through :func:`repro.serve.engine.range_attempt`.  These tests pin what
-that buys: the CRC receipt is folded into the draw (no cold second pass
-unless a ``bias`` fault rewrote the bytes), and a ``bias`` plan now
-reaches the fleet and the multi-device workers, not only the serve
-pool — masked bytes that still verify clean.
+that buys: every attempt takes exactly one cold ``payload_crc`` pass,
+after any ``bias`` fault and before the post-generation faults, and a
+``bias`` plan reaches the fleet and the multi-device workers, not only
+the serve pool — masked bytes that still verify clean.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ def masked(data: bytes) -> bytes:
 
 
 def counting_crc(monkeypatch) -> list[int]:
-    """Count the shell's cold ``payload_crc`` passes."""
+    """Count the shell's cold ``payload_crc`` passes: in this process as
+    the returned list, in a forked worker as ``shell_crc_passes_total``
+    in its shipped metrics."""
     calls: list[int] = []
     real = supervisor.payload_crc
 
     def crc(payload):
         calls.append(len(payload))
+        obs.inc("shell_crc_passes_total", 1)
         return real(payload)
 
     monkeypatch.setattr(supervisor, "payload_crc", crc)
@@ -51,30 +54,24 @@ def metric_names(reg) -> set[str]:
 
 
 class TestSingleTouchReceipt:
-    def test_receipt_is_reused_not_recomputed(self, monkeypatch):
+    def test_one_cold_crc_per_attempt(self, monkeypatch):
         calls = counting_crc(monkeypatch)
-        data, crc, spans = range_attempt(RangeSource(STREAM), 3, 0, 4096, 4096, None, True)
-        assert calls == []
+        data, crc, spans = range_attempt(RangeSource(STREAM), 3, 0, 4096, 4096, None)
+        assert calls == [4096]
         assert data == reference(4096, offset=4096)
         assert crc == supervisor.payload_crc(data)
         assert spans is None
 
     def test_bias_takes_one_cold_crc_over_the_biased_bytes(self, monkeypatch):
         calls = counting_crc(monkeypatch)
-        data, crc, _ = range_attempt(RangeSource(STREAM), 3, 0, 0, 4096, BIAS, True)
+        data, crc, _ = range_attempt(RangeSource(STREAM), 3, 0, 0, 4096, BIAS)
         assert calls == [4096]
         assert data == masked(reference(4096))
         assert crc == supervisor.payload_crc(data)  # the receipt covers the bias
 
-    def test_no_crc_without_verification(self, monkeypatch):
-        calls = counting_crc(monkeypatch)
-        data, crc, _ = range_attempt(RangeSource(STREAM), 0, 0, 0, 512, BIAS, False)
-        assert calls == [] and crc is None
-        assert data == masked(reference(512))
-
     def test_post_generate_faults_follow_the_receipt(self):
         plan = FaultPlan((Fault("corrupt", 2, 1, corrupt_bytes=3),), seed=1)
-        data, crc, _ = range_attempt(RangeSource(STREAM), 2, 1, 0, 1024, plan, True)
+        data, crc, _ = range_attempt(RangeSource(STREAM), 2, 1, 0, 1024, plan)
         assert data != reference(1024)
         assert crc == supervisor.payload_crc(reference(1024))
 
@@ -93,17 +90,18 @@ def fleet_config(**overrides) -> FleetConfig:
 
 
 class TestFleetWorkers:
-    def test_receipts_reused_for_every_job(self):
+    def test_every_job_takes_one_cold_crc(self, monkeypatch):
+        counting_crc(monkeypatch)  # forked members inherit the patch
         with obs.scoped() as reg:
-            with FleetController(STREAM, fleet_config()) as ctrl:
+            with FleetController(STREAM, fleet_config(mp_context="fork")) as ctrl:
                 data = ctrl.read_range(0, 65536, timeout=120)
         assert data == reference(65536)
-        reused = sum(
+        passes = sum(
             entry["value"]
             for entry in reg.snapshot()["metrics"]
-            if entry["name"] == "repro_touch_receipts_reused_total"
+            if entry["name"] == "shell_crc_passes_total"
         )
-        assert reused == 16
+        assert passes == 16
 
     def test_bias_masks_fleet_bytes_with_zero_crc_rejects(self):
         # screen=False isolates the fault path: the bias must pass every
@@ -117,15 +115,13 @@ class TestFleetWorkers:
         assert data == masked(reference(65536))
         assert status["counters"]["evictions"] == 0
         names = metric_names(reg)
-        assert "repro_fleet_receipt_failures_total" not in names
-        assert "repro_touch_receipts_reused_total" not in names  # cold CRC of biased bytes
+        assert "repro_fleet_receipt_failures_total" not in names  # the CRC covers the bias
 
 
 class TestMultiDeviceWorkers:
     def test_bias_masks_partitions_with_zero_crc_rejects(self):
         gen = MultiDeviceGenerator(
-            "trivium", seed=9, lanes=64, n_devices=2, block_bytes=4096,
-            verify_crc=True, fault_plan=BIAS,
+            "trivium", seed=9, lanes=64, n_devices=2, block_bytes=4096, fault_plan=BIAS,
         )
         out = gen.generate(4)
         assert out == masked(gen.sequential_reference(4))

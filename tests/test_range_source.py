@@ -4,9 +4,9 @@ Three tiers answer a draw of ``[offset, offset + n)``: the window of
 recently returned ranges (a retried chunk replays without advancing any
 generator), then the generator fronts (continue one, or forward-skip from
 the nearest one behind), and only then a rebuild from seed.  These tests
-pin each tier's bookkeeping, the bounds of both caches, and — through the
-pool's own entry point and a whole engine — that a screen-rejected chunk
-is retried from the window with the same verdicts and bytes.
+pin each tier's bookkeeping, the bounds of both caches, that a retried
+pool chunk replays from the window, and — through a whole engine — that
+a screen trip on a correct stream is served once, never retried.
 """
 
 from __future__ import annotations
@@ -95,37 +95,36 @@ class TestFronts:
 class TestReplayWindow:
     def test_repeat_draw_replays_without_advancing_a_generator(self):
         source = RangeSource(STREAM)
-        data = source.read_range(0, 64)
-        pair = source.read_range_with_receipt(64, 64)
+        first = source.read_range(0, 64)
+        second = source.read_range(64, 64)
         before, fronts = tiers(source), positions(source)
-        assert source.read_range(0, 64) is data
-        again = source.read_range_with_receipt(64, 64)
-        assert again[0] is pair[0] and again[1] is pair[1]
+        assert source.read_range(0, 64) is first
+        assert source.read_range(64, 64) is second
         rebuilds, skips, replays = tiers(source)
         assert (rebuilds, skips) == before[:2]
         assert replays == before[2] + 2
         assert positions(source) == fronts
 
-    def test_window_is_keyed_by_draw_method(self):
+    def test_window_is_keyed_by_offset_and_length(self):
         source = RangeSource(STREAM)
-        data = source.read_range(0, 64)
-        replayed, receipt = source.read_range_with_receipt(0, 64)
+        source.read_range(0, 64)
+        assert source.read_range(0, 32) == offline(0, 32)  # a shorter range is not a replay
         assert source.replays == 0
-        assert replayed == data and receipt.crc == payload_crc(data)
+        assert list(source._recent) == [(0, 64), (0, 32)]
 
     def test_window_holds_at_most_max_streams_ranges(self):
         source = RangeSource(STREAM, max_streams=3)
         for k in range(10):
             source.read_range(16 * k, 16)
             assert len(source._recent) <= source.max_streams
-        assert list(source._recent) == [(16 * k, 16, "read") for k in (7, 8, 9)]
+        assert list(source._recent) == [(16 * k, 16) for k in (7, 8, 9)]
         source.read_range(0, 16)  # aged out: regenerated, not replayed
         assert source.replays == 0 and source.rebuilds == 2
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         draws=st.lists(
-            st.tuples(st.integers(0, 600), st.integers(0, 80), st.booleans()),
+            st.tuples(st.integers(0, 600), st.integers(0, 80)),
             min_size=1,
             max_size=14,
         ).map(lambda ds: ds + ds[: len(ds) // 2]),  # and some repeats
@@ -134,12 +133,8 @@ class TestReplayWindow:
     def test_any_draw_sequence_matches_the_offline_stream(self, draws, max_streams):
         source = RangeSource(STREAM, max_streams=max_streams)
         stream = offline(0, 700)
-        for offset, n, with_receipt in draws:
-            if with_receipt:
-                data, receipt = source.read_range_with_receipt(offset, n)
-                assert receipt.crc == payload_crc(data)
-            else:
-                data = source.read_range(offset, n)
+        for offset, n in draws:
+            data = source.read_range(offset, n)
             assert data == stream[offset : offset + n]
             assert len(source._streams) <= max_streams
             assert len(source._recent) <= max_streams
@@ -151,25 +146,30 @@ class TestPoolRetry:
         monkeypatch.setattr(engine, "_WORKER_SOURCES", {})
         x, n = 4096, 1024
         for k in range(4):  # chunk X and X+n … X+3n, as a queue of 4 would
-            engine._serve_chunk((k, STREAM, x + k * n, n, True, None))
+            engine._serve_chunk((k, STREAM, x + k * n, n, None))
         source = engine._WORKER_SOURCES[STREAM]
         rebuilds = source.rebuilds
-        data, crc, _ = engine._serve_chunk((0, STREAM, x, n, True, None), attempt=1)
+        data, crc, _ = engine._serve_chunk((0, STREAM, x, n, None), attempt=1)
         assert source.rebuilds == rebuilds
         assert source.replays == 1
         assert data == offline(x, n) and crc == payload_crc(data)
 
     def test_screen_trip_keeps_its_verdicts_and_bytes(self, monkeypatch):
+        # the tripping chunk's receipt verified, so its bytes are the
+        # stream's: it is served once, counted and latched, never retried
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         eng = ServeEngine(DEFAULT_STREAM, workers=1)
         eng.start()
         try:
             served = b"".join(eng.generate_range(k * CHUNK, CHUNK, chunk_id=k) for k in range(12))
             chunks = eng.status()["chunks"]
-            events = eng.health.events
+            health = eng.health.to_dict()
         finally:
             eng.close()
         assert served == offline(0, 12 * CHUNK, DEFAULT_STREAM)
-        assert (chunks["screen_rejects"], chunks["retries"], chunks["degraded"]) == (4, 2, 1)
+        assert (chunks["screen_rejects"], chunks["retries"], chunks["degraded"]) == (1, 0, 0)
+        assert chunks["chunks_ok"] == 12
+        events = health["events"]
         assert events[0]["test"] == "rct" and events[0]["position"] == FIRST_RCT_POSITION
         assert TRIP_CHUNK * CHUNK < FIRST_RCT_POSITION < (TRIP_CHUNK + 1) * CHUNK
+        assert health["bytes_screened"] == 12 * CHUNK  # the served trip chunk counts

@@ -188,7 +188,7 @@ def _multidevice(ctx: str, **kw) -> MultiDeviceGenerator:
 class TestMultiDeviceRing:
     @pytest.mark.parametrize("ctx", ["fork", "spawn"])
     def test_zero_pickled_payload_bytes(self, ctx):
-        gen = _multidevice(ctx, verify_crc=True)
+        gen = _multidevice(ctx)
         with obs.scoped() as reg:
             out = gen.generate(6)
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == len(out)
@@ -208,7 +208,7 @@ class TestMultiDeviceRing:
         lands in the ring slot corrupted, must fail the receipt check on
         the controller side, and the retry must regenerate it exactly."""
         plan = FaultPlan((Fault("corrupt", 0, 0, corrupt_bytes=3),))
-        gen = _multidevice("fork", verify_crc=True, fault_plan=plan)
+        gen = _multidevice("fork", fault_plan=plan)
         with obs.scoped() as reg:
             out = gen.generate(6)
             # both the corrupted attempt and the clean retry travelled

@@ -20,6 +20,7 @@ from repro.robust.health import (
     rct_cutoff,
     startup_self_test,
 )
+from repro.serve.engine import HealthState, StreamConfig
 
 
 class TestCutoffs:
@@ -139,6 +140,23 @@ class TestHealthScreen:
         assert screen.position == 100  # the failing buffer is not counted
         # reset-on-failure: a short run no longer continues the old one
         assert screen.update(stuck[: cutoff - 1]) is None
+
+
+class TestHealthState:
+    def test_served_failing_chunks_keep_positions_on_the_stream(self):
+        # the service latch serves a failing chunk, so unlike the bare
+        # screen it counts it: later events stay on the served stream.
+        # Trivium seed 0 holds exactly two 4-byte runs (the 2^-20 RCT
+        # cutoff) in its first 68.5 MB, ending at these offsets.
+        state = HealthState(2.0**-20)
+        rng = StreamConfig("trivium", seed=0).make_rng()
+        chunk, served = 1 << 16, 0
+        while len(state.events) < 2 and served < 70_000_000:
+            state.screen(rng.read(chunk))
+            served += chunk
+        assert [e["position"] for e in state.events] == [685_976, 68_412_101]
+        assert state.to_dict()["bytes_screened"] == served
+        assert not state.healthy
 
 
 class TestStartupSelfTest:

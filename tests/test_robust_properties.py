@@ -47,7 +47,6 @@ class TestEventualSuccessEquivalence:
             n_devices=N_DEVICES,
             block_bytes=128,
             max_retries=MAX_FAULT_ATTEMPT + 1,
-            verify_crc=True,
             fault_plan=plan,
         )
         # the in-process supervised path: same retry/verify policy as the
@@ -64,7 +63,6 @@ class TestEventualSuccessEquivalence:
             n_devices=N_DEVICES,
             block_bytes=128,
             max_retries=MAX_FAULT_ATTEMPT + 1,
-            verify_crc=True,
             fault_plan=plan,
         )
         assert gen.generate(4, parallel=True) == gen.sequential_reference(4)

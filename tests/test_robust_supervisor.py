@@ -88,21 +88,14 @@ class TestTimeoutRecovery:
 class TestCorruptionRecovery:
     def test_crc_detects_and_retries(self):
         plan = FaultPlan((Fault("corrupt", 2, 0, corrupt_bytes=3),), seed=1)
-        gen = _mk(fault_plan=plan, verify_crc=True)
+        gen = _mk(fault_plan=plan)
         out = gen.generate(6, parallel=True)
         assert out == gen.sequential_reference(6)
         assert any(e.kind == "corrupt" for e in gen.last_report.events)
 
-    def test_without_crc_corruption_slips_through(self):
-        # the negative control: verification off means a corrupted payload
-        # is concatenated as-is — exactly why the hook exists
-        plan = FaultPlan((Fault("corrupt", 2, 0, corrupt_bytes=3),), seed=1)
-        gen = _mk(fault_plan=plan, verify_crc=False)
-        assert gen.generate(6, parallel=True) != gen.sequential_reference(6)
-
     def test_stuck_payload_caught_by_crc(self):
         plan = FaultPlan((Fault("stuck", 0, 0),))
-        gen = _mk(fault_plan=plan, verify_crc=True)
+        gen = _mk(fault_plan=plan)
         assert gen.generate(6, parallel=True) == gen.sequential_reference(6)
 
 
@@ -138,7 +131,7 @@ class TestSequentialPath:
 
     def test_inline_crc_verification(self):
         plan = FaultPlan((Fault("corrupt", 0, 0),), seed=4)
-        gen = _mk(fault_plan=plan, verify_crc=True)
+        gen = _mk(fault_plan=plan)
         assert gen.generate(6, parallel=False) == gen.sequential_reference(6)
 
 
@@ -174,7 +167,7 @@ class TestLanePartitionedSupervision:
     def test_corruption_recovery_lane_path(self):
         plan = FaultPlan((Fault("corrupt", 0, 0, corrupt_bytes=2),), seed=8)
         gen = LanePartitionedGenerator(
-            "trivium", seed=1, total_lanes=16, n_devices=2, verify_crc=True, fault_plan=plan
+            "trivium", seed=1, total_lanes=16, n_devices=2, fault_plan=plan
         )
         lanes = gen.generate_lanes(64, parallel=True)
         assert np.array_equal(lanes, gen.sequential_reference(64))
@@ -218,6 +211,6 @@ class TestFailureWallTimes:
 
     def test_corrupt_receipt_timed(self):
         plan = FaultPlan((Fault("corrupt", 0, 0),), seed=4)
-        gen = _mk(fault_plan=plan, verify_crc=True)
+        gen = _mk(fault_plan=plan)
         gen.generate(6, parallel=True)
         assert 0 in gen.last_report.supervisor.partition_wall

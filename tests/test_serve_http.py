@@ -10,8 +10,10 @@ here:
   :class:`BSRNG` positioned at the announced lease offsets, and the
   granted ranges never overlap;
 * ``/metrics`` passes the Prometheus exposition linter in-process;
-* an injected *stuck* fault degrades service (the chunk retries and the
-  request completes) while ``/healthz`` latches unhealthy;
+* an injected *stuck* fault is caught by the CRC receipt (the chunk
+  retries and the request completes, ``/healthz`` stays healthy), while
+  a defective generator's CRC-clean bytes are served once and latch
+  ``/healthz`` unhealthy;
 * an injected worker *crash* is absorbed by supervision — the client
   sees a clean 200, never an error.
 """
@@ -51,8 +53,7 @@ def running_daemon(
     engine = ServeEngine(
         STREAM,
         workers=workers,
-        supervision=supervision
-        or SupervisorConfig(timeout=60.0, max_retries=2, verify_crc=True),
+        supervision=supervision or SupervisorConfig(timeout=60.0, max_retries=2),
         screen=screen,
     )
     daemon = ServeDaemon(
@@ -318,9 +319,7 @@ class TestChunkPipeline:
             faults=tuple(Fault(kind="crash", partition=0, attempt=a) for a in range(3))
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        supervision = SupervisorConfig(
-            timeout=60.0, max_retries=2, verify_crc=True, degrade_sequential=False
-        )
+        supervision = SupervisorConfig(timeout=60.0, max_retries=2, degrade_sequential=False)
         with running_daemon(workers=1, supervision=supervision) as (daemon, base):
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(f"{base}/v1/bytes?n=3000")
@@ -335,9 +334,7 @@ class TestChunkPipeline:
             faults=tuple(Fault(kind="crash", partition=1, attempt=a) for a in range(3))
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        supervision = SupervisorConfig(
-            timeout=60.0, max_retries=2, verify_crc=True, degrade_sequential=False
-        )
+        supervision = SupervisorConfig(timeout=60.0, max_retries=2, degrade_sequential=False)
         with running_daemon(workers=1, chunk_bytes=1024, supervision=supervision) as (
             daemon,
             base,
@@ -360,31 +357,46 @@ class TestChunkPipeline:
 
 
 class TestFaultDrills:
-    def test_stuck_fault_degrades_and_latches_healthz(self, monkeypatch):
-        # chunk 0, attempt 0 returns all-zero bytes: the RCT screen must
-        # reject it (failed attempt), the retry serves clean bytes, and
-        # the health verdict stays latched for the operator.  CRC receipts
-        # are off so the screen — not the transfer check — is the defense
-        # (stuck faults mutate after the worker computes its CRC).
+    def test_stuck_fault_is_caught_by_crc_receipt(self, monkeypatch):
+        # chunk 0, attempt 0 returns all-zero bytes after the worker took
+        # its receipt: the mismatch marks a damaged transfer, the retry
+        # serves the true bytes, and the screen never sees the zeros — so
+        # the stream's health verdict is untouched
         plan = FaultPlan(faults=(Fault(kind="stuck", partition=0, attempt=0),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        with running_daemon(
-            workers=1,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=2, verify_crc=False),
-        ) as (daemon, base):
+        with running_daemon(workers=1) as (daemon, base):
             status, headers, body = get(f"{base}/v1/bytes?n=4096")
             assert status == 200
             offset = int(headers["X-Repro-Lease-Offset"])
             assert body == offline_bytes(offset, 4096), "retry must serve true bytes"
+            chunks = daemon.engine.status()["chunks"]
+            assert chunks["crc_rejects"] >= 1
+            assert chunks["retries"] >= 1
+            assert chunks["screen_rejects"] == 0
+            assert get(f"{base}/healthz")[0] == 200
+
+    def test_defective_generator_is_served_and_latches_healthz(self, monkeypatch):
+        # a bias fault masks the bytes before the receipt: CRC-clean
+        # zeros, as a broken generator would emit.  A retry could only
+        # return them again, so the one chunk is served once, with its
+        # screen trip counted and /healthz latched for the operator.
+        plan = FaultPlan(faults=(Fault(kind="bias", partition=0, bias_mask=0x00),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        with running_daemon(workers=1, chunk_bytes=2048) as (daemon, base):
+            status, _, body = get(f"{base}/v1/bytes?n=2048")
+            assert status == 200
+            assert body == bytes(2048)
+            chunks = daemon.engine.status()["chunks"]
+            assert (
+                chunks["screen_rejects"], chunks["retries"],
+                chunks["degraded"], chunks["crc_rejects"],
+            ) == (1, 0, 0, 0)
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(f"{base}/healthz")
             assert err.value.code == 503
             doc = json.loads(err.value.read())
             assert doc["healthy"] is False
-            assert doc["events"] and doc["events"][0]["test"] == "rct"
-            chunks = daemon.engine.status()["chunks"]
-            assert chunks["screen_rejects"] >= 1
-            assert chunks["retries"] >= 1
+            assert doc["events"][0]["test"] == "rct"
 
     def test_corrupt_payload_is_caught_by_crc_receipt(self, monkeypatch):
         # corruption happens after the worker's CRC receipt, so the
