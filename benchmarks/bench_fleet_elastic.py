@@ -5,8 +5,8 @@ Three timed runs over the same deterministic stream:
 
 * **inline** — a single :class:`RangeSource` front, the zero-overhead
   reference every fleet result must match bit for bit;
-* **fleet** — a clean ``workers``-member fleet (heartbeats, CRC
-  receipts, per-worker screens all on): what membership supervision
+* **fleet** — a clean ``workers``-member fleet (heartbeats and CRC
+  receipts on; the fleet does not screen): what membership supervision
   costs on this box;
 * **chaos** — the same fleet with a scripted ``REPRO_FAULT_PLAN``-style
   plan killing one member mid-stream and slow-bleeding another until it

@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fleet", type=int, default=0, metavar="N", dest="fleet",
         help="mount a heartbeat-supervised elastic fleet of N workers "
-        "instead of the anonymous pool (health eviction, lease "
-        "reassignment; see DESIGN.md §13)",
+        "instead of the anonymous pool (heartbeat and receipt eviction, "
+        "lease reassignment; see DESIGN.md §13)",
     )
     serve.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="S",
@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--alpha", type=float, default=2.0**-20,
         help="false-positive rate of the service-wide /healthz screen "
-        "(default 2^-20); a --fleet keeps its own per-worker eviction "
-        "screen at 2^-30",
+        "(default 2^-20), the one RCT/APT screen on every served byte, "
+        "with or without --fleet",
     )
     serve.add_argument(
         "--qa", action="store_true",
@@ -410,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--no-verify", action="store_true",
         help="skip the bit-identity check against a single-device reference",
-    )
-    fleet.add_argument(
-        "--no-screen", action="store_true",
-        help="disable the per-worker SP 800-90B output screen",
     )
     fleet.add_argument(
         "-o", "--output", default=None, metavar="PATH",
@@ -863,7 +859,6 @@ def _cmd_serve(args) -> int:
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             chunk_bytes=args.fleet_chunk_bytes or args.chunk_bytes,
-            screen=not args.no_screen,
         )
     qa_sidecar = None
     if args.qa:
@@ -942,7 +937,6 @@ def _cmd_fleet(args) -> int:
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_timeout=args.heartbeat_timeout,
         chunk_bytes=args.chunk_bytes,
-        screen=not args.no_screen,
     )
     print(
         f"fleet: {args.workers} workers x {args.algorithm} "

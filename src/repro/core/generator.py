@@ -28,16 +28,19 @@ from repro.core.engine import BitslicedEngine
 from repro.errors import SpecificationError
 from repro.obs.tracing import span
 
-__all__ = ["BSRNG", "available_algorithms"]
+__all__ = ["BSRNG", "available_algorithms", "import_kernel"]
+
+
+def _kernel_class(cls_path: str) -> type:
+    module_name, cls_name = cls_path.rsplit(".", 1)
+    return getattr(__import__(module_name, fromlist=[cls_name]), cls_name)
 
 
 def _make_bitsliced(cls_path: str) -> Callable:
     def factory(
         seed: int, lanes: int, dtype, fused: bool, clocks_per_call: int, threads: int = 1
     ) -> "_PlaneSource":
-        module_name, cls_name = cls_path.rsplit(".", 1)
-        module = __import__(module_name, fromlist=[cls_name])
-        cls = getattr(module, cls_name)
+        cls = _kernel_class(cls_path)
         if threads > 1:
             from repro.core.lanebank import ThreadedLaneBank
 
@@ -56,6 +59,7 @@ def _make_bitsliced(cls_path: str) -> Callable:
         )
         return _PlaneSource(cls(engine).seed(seed))
 
+    factory.cls_path = cls_path
     return factory
 
 
@@ -65,11 +69,9 @@ def _make_baseline(cls_path: str) -> Callable:
     ) -> "_WordSource":
         if threads > 1:
             raise SpecificationError("threads > 1 requires a bitsliced algorithm")
-        module_name, cls_name = cls_path.rsplit(".", 1)
-        module = __import__(module_name, fromlist=[cls_name])
-        cls = getattr(module, cls_name)
-        return _WordSource(cls(seed=seed, n_streams=lanes))
+        return _WordSource(_kernel_class(cls_path)(seed=seed, n_streams=lanes))
 
+    factory.cls_path = cls_path
     return factory
 
 
@@ -196,6 +198,17 @@ _REGISTRY: dict[str, tuple[Callable, str, str]] = {
 def available_algorithms() -> dict[str, str]:
     """Map of algorithm name → one-line description."""
     return {name: desc for name, (_, _, desc) in _REGISTRY.items()}
+
+
+def import_kernel(algorithm: str) -> None:
+    """Import *algorithm*'s kernel module now (unknown names: no-op).
+
+    Call before forking from a multi-threaded parent: a child forked
+    mid-import inherits the held module lock and hangs on its own import.
+    """
+    entry = _REGISTRY.get(algorithm)
+    if entry is not None:
+        _kernel_class(entry[0].cls_path)
 
 
 class _PlaneSource:

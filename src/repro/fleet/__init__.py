@@ -12,7 +12,8 @@ or silently degrade:
 * :mod:`repro.fleet.transport` — the message plane: worker
   registration, periodic heartbeats, job dispatch and results, behind a
   :class:`~repro.fleet.transport.Transport` interface.  The shipped
-  implementation runs local processes (:class:`LocalProcessTransport`);
+  implementation runs local processes, one duplex pipe each
+  (:class:`LocalProcessTransport`);
   the interface is message-passing end to end, so a socket transport for
   remote hosts slots in without touching the controller.
 * :mod:`repro.fleet.worker` — the long-lived worker loop: register,
@@ -21,9 +22,8 @@ or silently degrade:
   fleet-level ``REPRO_FAULT_PLAN`` faults (heartbeat silence, slow-bleed
   corruption) for deterministic chaos drills.
 * :mod:`repro.fleet.controller` — :class:`FleetController`:
-  deadline-based liveness over the heartbeats, per-worker SP 800-90B
-  output screening (RCT/APT from :mod:`repro.robust.health`), CRC
-  receipt verification, eviction with **lease reassignment** (chunk
+  deadline-based liveness over the heartbeats, CRC receipt
+  verification, eviction with **lease reassignment** (chunk
   leases follow :class:`~repro.serve.leases.LeaseManager`'s
   never-reissue semantics, so the merged output stays bit-identical to a
   single-device run), elastic resizing, and inline degradation when the

@@ -13,13 +13,12 @@ full of anonymous workers into *supervised membership*:
   exactly at the deadline survives (the comparison is strictly ``later
   than``); messages are always processed before deadlines are checked,
   so a racing heartbeat wins.
-* **Screening** composes the SP 800-90B continuous health tests of
-  :mod:`repro.robust.health` (one :class:`~repro.robust.health.HealthScreen`
-  *per worker*, so one sick member cannot poison a healthy peer's
-  screen) with the CRC receipt
-  verification of :mod:`repro.robust.supervisor`.  A failed screen
-  evicts immediately; CRC mismatches accumulate strikes first (a single
-  flipped byte on a transfer is retryable, a bleeding worker is not).
+* **Receipts**: the controller checks every result's CRC receipt
+  (:mod:`repro.robust.supervisor`); mismatches accumulate strikes before
+  eviction (one flipped byte is retryable, a bleeding worker is not).
+  It does not screen: a verified chunk is a pure function of its offset,
+  so every peer would return the same bytes.  The one RCT/APT screen on
+  a served byte is the service latch (:class:`~repro.serve.engine.HealthState`).
 * **Lease reassignment** keeps the merged stream bit-identical to a
   single-device run.  Every chunk job is backed by a lease from an
   internal :class:`~repro.serve.leases.LeaseManager` — ids strictly
@@ -62,7 +61,6 @@ from repro.obs import context as trace_context
 from repro.obs import flight
 from repro.obs.tracing import span
 from repro.robust.faults import FaultPlan
-from repro.robust.health import HealthScreen
 from repro.robust.supervisor import payload_crc
 from repro.serve.engine import RangeSource, StreamConfig
 from repro.serve.leases import LeaseManager
@@ -87,12 +85,12 @@ __all__ = [
 WORKER_STATES = ("launching", "live", "draining", "drained", "evicted")
 
 #: Why workers get evicted (the ``reason`` label on the eviction counter).
-EVICTION_REASONS = ("heartbeat", "crash", "health", "corrupt")
+EVICTION_REASONS = ("heartbeat", "crash", "corrupt")
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet sizing, liveness and screening policy.
+    """Fleet sizing, liveness and receipt policy.
 
     ``workers`` is the *initial target*; elasticity moves the target
     inside ``[min_workers, max_workers]``.  ``heartbeat_timeout`` should
@@ -107,26 +105,12 @@ class FleetConfig:
     heartbeat_timeout: float = 5.0
     chunk_bytes: int = 1 << 16
     max_inflight_per_worker: int = 2  # pipelining depth per member
-    screen: bool = True
-    #: Per-worker RCT/APT false-positive rate.  A health failure here
-    #: *evicts* (it is not just latched like the engine's /healthz
-    #: screen), and each worker screens many megabytes of stream, so the
-    #: budget is sized for volume: 2^-30 (the SP 800-90B default) puts
-    #: the RCT cutoff at a 5-byte run — about one false eviction per
-    #: 4 GiB screened per worker, against ~16 MiB at the serve-side 2^-20.
-    alpha: float = 2.0**-30
     max_strikes: int = 2  # CRC receipt failures before eviction
     max_evictions: int = 16  # relaunch budget; beyond it, degrade inline
     scale_up_backlog: int = 4  # pending jobs per live worker that adds one
     scale_down_idle_s: float = 30.0  # sustained idle that removes one
     degrade_inline: bool = True
-    max_streams: int = 8  # worker-side RangeSource front cache
     mp_context: str | None = None
-    #: Return chunk payloads through a shared-memory ring (one leased
-    #: slot per dispatched job) instead of pickling them through the
-    #: message plane.  Only takes effect with the default local
-    #: transport; injected transports ship payload bytes.
-    use_ring: bool = True
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -238,19 +222,18 @@ class FleetController:
         self.clock = clock
         self._ring: SharedMemoryRing | None = None
         if transport is None:
-            if self.config.use_ring:
-                # a slot is leased per *dispatched* job, so the pool only
-                # needs to cover the maximum in-flight depth; overflow
-                # jobs simply dispatch slotless and pickle their payload
-                self._ring = SharedMemoryRing.try_create(
-                    self.config.chunk_bytes,
-                    self.config.max_workers * self.config.max_inflight_per_worker,
-                )
+            # the local transport returns payloads through a shared-memory
+            # ring; a slot is leased per *dispatched* job, so the pool only
+            # needs to cover the maximum in-flight depth; overflow jobs
+            # (and injected transports) ship their payload bytes
+            self._ring = SharedMemoryRing.try_create(
+                self.config.chunk_bytes,
+                self.config.max_workers * self.config.max_inflight_per_worker,
+            )
             spec = WorkerSpec(
                 stream=self.stream,
                 heartbeat_interval=self.config.heartbeat_interval,
                 plan_json=fault_plan.to_json() if fault_plan is not None else None,
-                max_streams=self.config.max_streams,
                 ring=self._ring.spec if self._ring is not None else None,
             )
             transport = LocalProcessTransport(spec, mp_context=self.config.mp_context)
@@ -267,7 +250,6 @@ class FleetController:
         self._assigned: dict[int, tuple[ChunkJob, int, float]] = {}
         self._results: dict[int, bytes] = {}
         self._done: set[int] = set()  # job ids accepted (at most once each)
-        self._screens: dict[int, HealthScreen] = {}  # one per member
         self._inline: RangeSource | None = None  # degraded-mode generator
         # ring slot pool: a slot belongs to a job from dispatch until its
         # result is accepted or the assignment is torn down (requeue,
@@ -418,7 +400,7 @@ class FleetController:
         if msg.kind == "result":
             self._handle_result(msg, member, now)
 
-    # -- results: receipts, screening, at-most-once acceptance -------------------
+    # -- results: receipts, at-most-once acceptance -----------------------------
     def _handle_result(self, msg: Message, member: WorkerInfo | None, now: float) -> None:
         entry = self._assigned.get(msg.job_id)
         stale = (
@@ -438,9 +420,9 @@ class FleetController:
             )
             return
         job, _, dispatched_at = entry
-        # materialise a ring-parked payload *before* the length/CRC/
-        # screen checks: a torn or stale slot write then takes exactly
-        # the retry path a corrupted pickled transfer would
+        # materialise a ring-parked payload *before* the length/CRC
+        # checks: a torn or stale slot write then takes exactly the
+        # retry path a corrupted pickled transfer would
         payload = msg.payload
         if msg.ref is not None and self._ring is not None:
             try:
@@ -454,13 +436,6 @@ class FleetController:
             return
         if payload_crc(payload) != msg.crc:
             self._strike(member, job, now, "crc mismatch")
-            return
-        if self.config.screen and self._screens.setdefault(
-            member.worker_id, HealthScreen(self.config.alpha)
-        ).update(payload) is not None:
-            # suspect output: do not accept, requeue, evict the member
-            self._requeue(job)
-            self._evict(member, "health", now)
             return
         # accept: exactly once per lease, then the lease is done forever
         self._done.add(job.job_id)
@@ -552,7 +527,6 @@ class FleetController:
                 FleetEvent("reassign", member.worker_id, f"job {job_id}", now)
             )
         member.inflight.clear()
-        self._screens.pop(member.worker_id, None)
         try:
             self.transport.kill(member.worker_id)
         except Exception:  # pragma: no cover - a dead carrier is the goal
@@ -627,8 +601,8 @@ class FleetController:
         self._publish_membership()
 
     def _lease_slot(self, job: ChunkJob) -> ChunkJob:
-        """Attach a ring slot for the job's result (``None`` when the
-        ring is off or the pool is momentarily dry — the worker then
+        """Attach a ring slot for the job's result (``None`` when there
+        is no ring or the pool is momentarily dry — the worker then
         ships payload bytes).  Re-dispatch always re-leases, so a
         requeued job never carries a slot it no longer owns."""
         slot = self._free_slots.popleft() if self._ring is not None and self._free_slots else None

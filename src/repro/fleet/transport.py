@@ -22,10 +22,13 @@ without caring what they mean.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
+import selectors
+import threading
 from abc import ABC, abstractmethod
+from contextlib import suppress
 from dataclasses import dataclass, field
 
+from repro.core.generator import import_kernel
 from repro.core.ring import RingSlotRef
 from repro.errors import SpecificationError
 from repro.serve.engine import StreamConfig
@@ -101,7 +104,6 @@ class WorkerSpec:
     stream: StreamConfig = field(default_factory=StreamConfig)
     heartbeat_interval: float = 1.0
     plan_json: str | None = None
-    max_streams: int = 8  # RangeSource front cache per worker
     #: Shared-memory result ring ``(name, slot_bytes, slots)`` to attach,
     #: or ``None`` to ship payloads as message bytes (remote transports).
     ring: tuple | None = None
@@ -109,8 +111,6 @@ class WorkerSpec:
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise SpecificationError("heartbeat_interval must be positive")
-        if self.max_streams <= 0:
-            raise SpecificationError("max_streams must be positive")
 
 
 class Transport(ABC):
@@ -151,12 +151,14 @@ class Transport(ABC):
 class LocalProcessTransport(Transport):
     """Local ``multiprocessing`` workers — the in-box transport.
 
-    One process per worker, one shared inbound queue (workers →
-    controller) and one outbound queue per worker (controller → worker).
-    ``fork`` is preferred where available for the same reason the batch
-    layers prefer it (a fixed ~second of import cost per spawn would
-    swamp small jobs and slow eviction replacement); pass
-    ``mp_context="spawn"`` to exercise the no-shared-memory path.
+    One process and one duplex ``Pipe`` per worker, so a terminated
+    member can break only its own pipe; :meth:`poll` selects over every
+    member's connection.  :meth:`kill` unregisters a connection and
+    leaves closing it to the next poll, so no select ever waits on a
+    closed descriptor.  ``fork`` is preferred where available (a fixed
+    ~second of import cost per spawn would swamp small jobs and slow
+    eviction replacement); ``mp_context="spawn"`` exercises the
+    no-shared-memory path.
     """
 
     def __init__(self, spec: WorkerSpec, mp_context: str | None = None) -> None:
@@ -165,43 +167,56 @@ class LocalProcessTransport(Transport):
             mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self._ctx = mp.get_context(mp_context)
         self.mp_context = mp_context
-        self._inbox: mp.Queue = self._ctx.Queue()
+        # replacements fork from the supervision thread while other
+        # threads run: a member forked mid-import of the kernel would
+        # inherit the held module lock and hang on its first job
+        import_kernel(spec.stream.algorithm)
         self._procs: dict[int, mp.Process] = {}
-        self._outboxes: dict[int, mp.Queue] = {}
+        self._conns: dict = {}  # worker id -> the controller's Connection
+        self._selector = selectors.DefaultSelector()
+        self._poll_lock = threading.Lock()
+        self._dead: list = []  # unregistered connections the next poll closes
 
     def launch(self, worker_id: int) -> None:
         from repro.fleet.worker import fleet_worker_main
 
         if worker_id in self._procs:
             raise SpecificationError(f"worker {worker_id} already launched")
-        outbox: mp.Queue = self._ctx.Queue()
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=fleet_worker_main,
-            args=(worker_id, self.spec, outbox, self._inbox),
+            args=(worker_id, self.spec, child),
             daemon=True,
             name=f"fleet-worker-{worker_id}",
         )
         proc.start()
+        child.close()  # the member's end lives in the member: its exit is our EOF
         self._procs[worker_id] = proc
-        self._outboxes[worker_id] = outbox
+        self._conns[worker_id] = conn
+        self._selector.register(conn, selectors.EVENT_READ)
 
     def send_job(self, worker_id: int, job: ChunkJob | None) -> None:
-        outbox = self._outboxes.get(worker_id)
-        if outbox is None:
+        conn = self._conns.get(worker_id)
+        if conn is None:
             raise SpecificationError(f"unknown worker {worker_id}")
-        outbox.put(job)
+        conn.send(job)
 
     def poll(self, timeout: float) -> list[Message]:
         msgs: list[Message] = []
-        try:
-            msgs.append(self._inbox.get(timeout=max(timeout, 0.0)))
-        except queue_mod.Empty:
-            return msgs
-        while True:  # drain whatever else already arrived, without waiting
-            try:
-                msgs.append(self._inbox.get_nowait())
-            except queue_mod.Empty:
-                return msgs
+        with self._poll_lock:
+            while self._dead:
+                self._dead.pop().close()
+            for key, _ in self._selector.select(max(timeout, 0.0)):
+                conn = key.fileobj
+                try:
+                    while conn.poll():  # drain without waiting
+                        msgs.append(conn.recv())
+                except (EOFError, OSError):
+                    # the member is gone: stop selecting its end, which
+                    # stays open until kill() hands it back for closing
+                    with suppress(KeyError):  # unless kill() just did
+                        self._selector.unregister(conn)
+        return msgs
 
     def alive(self, worker_id: int) -> bool:
         proc = self._procs.get(worker_id)
@@ -215,18 +230,17 @@ class LocalProcessTransport(Transport):
             if proc.is_alive():  # SIGTERM masked or wedged: escalate
                 proc.kill()
                 proc.join(timeout=5.0)
-        outbox = self._outboxes.get(worker_id)
-        if outbox is not None:
-            # a killed worker never drains its outbox; without this the
-            # parent blocks at exit joining the queue's feeder thread
-            outbox.cancel_join_thread()
-            outbox.close()
+        conn = self._conns.pop(worker_id, None)
+        if conn is not None:
+            with suppress(KeyError):  # already dropped when its EOF was polled
+                self._selector.unregister(conn)
+            self._dead.append(conn)
 
     def close(self) -> None:
         for worker_id in list(self._procs):
             self.kill(worker_id)
         self._procs.clear()
-        self._outboxes.clear()
-        # release the queue feeder threads; pending messages are moot
-        self._inbox.cancel_join_thread()
-        self._inbox.close()
+        with self._poll_lock:
+            while self._dead:
+                self._dead.pop().close()
+            self._selector.close()

@@ -27,13 +27,12 @@ Failure modelling is deliberately honest:
 * ``slow_bleed`` flips bytes in every payload after the CRC, modelling
   a degrading link that accumulates receipt strikes until eviction;
 * ``bias`` masks every payload before its receipt — a defective
-  generator whose bytes verify clean, caught only by the controller's
-  health screen (or QA).
+  generator whose bytes verify clean and are served: the service latch
+  (or QA) flags them, the fleet does not evict for them.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import signal
 import time
 
@@ -48,11 +47,12 @@ from repro.fleet.transport import ChunkJob, Message, WorkerSpec
 __all__ = ["fleet_worker_main"]
 
 
-def fleet_worker_main(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
+def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
     """Worker process entry point (module-level: spawn-picklable).
 
-    ``jobs`` delivers :class:`ChunkJob` items (``None`` = graceful
-    stop); ``out`` receives this worker's :class:`Message` stream.
+    ``conn`` is this member's end of its duplex pipe: it delivers
+    :class:`ChunkJob` items (``None`` = graceful stop) and carries the
+    member's :class:`Message` stream back.
     """
     # a fork inherits the parent's signal dispositions — under the serve
     # daemon that includes an asyncio SIGTERM handler which would swallow
@@ -72,7 +72,7 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
         rec = flight.recorder()
         flight.enable(rec.directory, role=f"fleet-worker-{worker_id}")
     try:
-        _worker_loop(worker_id, spec, jobs, out)
+        _worker_loop(worker_id, spec, conn)
     except BaseException as exc:
         # the black box is the only record a crashed member leaves —
         # the message plane just sees a dead carrier
@@ -81,10 +81,10 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
         raise
 
 
-def _worker_loop(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
+def _worker_loop(worker_id: int, spec: WorkerSpec, conn) -> None:
     plan = FaultPlan.resolve(spec.plan_json)
-    source = RangeSource(spec.stream, max_streams=spec.max_streams)
-    out.put(Message("register", worker_id))
+    source = RangeSource(spec.stream)
+    conn.send(Message("register", worker_id))
     job_index = 0
     last_heartbeat = time.monotonic()
     # poll briskly relative to the heartbeat interval so a due heartbeat
@@ -94,14 +94,13 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
         now = time.monotonic()
         silenced = plan is not None and plan.silences(worker_id, job_index)
         if not silenced and now - last_heartbeat >= spec.heartbeat_interval:
-            out.put(Message("heartbeat", worker_id))
+            conn.send(Message("heartbeat", worker_id))
             last_heartbeat = now
-        try:
-            job: ChunkJob | None = jobs.get(timeout=poll_s)
-        except queue_mod.Empty:
+        if not conn.poll(poll_s):
             continue
+        job: ChunkJob | None = conn.recv()
         if job is None:
-            out.put(Message("bye", worker_id, detail="drained"))
+            conn.send(Message("bye", worker_id, detail="drained"))
             return
         flight.record("job-start", worker=worker_id, job=job.job_id, offset=job.offset)
 
@@ -111,9 +110,9 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
 
         # crash faults raise out of here and kill the process — the
         # controller must discover a dead carrier, not read an excuse.
-        # Jobs dispatched without a ring slot (ring off, or the slot pool
-        # momentarily dry) ship their payload bytes through the message
-        # plane instead.
+        # Jobs dispatched without a ring slot (no shared memory, or the
+        # slot pool momentarily dry) ship their payload bytes through the
+        # pipe instead.
         ring = (*spec.ring, job.ring_slot) if spec.ring and job.ring_slot is not None else None
         payload, crc, metrics, spans = range_attempt(
             source, worker_id, job_index, job.offset, job.length, plan,
@@ -121,7 +120,7 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, jobs, out) -> None:
             span_name="fleet.worker_chunk", process_name=f"fleet-worker-{worker_id}",
         )
         ref = payload if isinstance(payload, RingSlotRef) else None
-        out.put(
+        conn.send(
             Message(
                 "result",
                 worker_id,

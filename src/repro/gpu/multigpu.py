@@ -318,12 +318,11 @@ class MultiDeviceGenerator(_SupervisedDevices):
         :class:`~repro.core.generator.BSRNG` (``None`` = the BSRNG
         default: fused for bitsliced algorithms).  Workers also inherit
         BSRNG's double-buffered refill pipeline.
-    use_ring:
-        Return partition payloads through a per-job
-        :class:`~repro.core.ring.SharedMemoryRing` (one slot per
-        partition) instead of pickling them through the pool pipe.
-        Falls back to pickled payloads automatically where shared
-        memory is unavailable.
+
+    Partition payloads return through a per-job
+    :class:`~repro.core.ring.SharedMemoryRing` (one slot per partition)
+    rather than the pool pipe; they fall back to pickled payloads where
+    shared memory is unavailable.
     """
 
     def __init__(
@@ -340,7 +339,6 @@ class MultiDeviceGenerator(_SupervisedDevices):
         fault_plan: FaultPlan | None = None,
         fused: bool | None = None,
         clocks_per_call: int = 32,
-        use_ring: bool = True,
     ) -> None:
         if n_devices <= 0:
             raise SpecificationError("n_devices must be positive")
@@ -355,7 +353,6 @@ class MultiDeviceGenerator(_SupervisedDevices):
         self.stream = StreamConfig(
             algorithm, seed, lanes, fused=fused, clocks_per_call=self.clocks_per_call
         )
-        self.use_ring = bool(use_ring)
         self._init_supervision(mp_context, timeout, max_retries, degrade_sequential, fault_plan)
 
     def _jobs(self, total_blocks: int, ring: SharedMemoryRing | None = None) -> dict[int, tuple]:
@@ -391,7 +388,7 @@ class MultiDeviceGenerator(_SupervisedDevices):
             # explicit empty-job fast path: no pool, no workers, no report
             return b""
         ring = None
-        if self.use_ring and parallel:
+        if parallel:
             # one slot per partition, sized for the largest one; a slot is
             # owned by its partition for the whole job, so retries simply
             # overwrite and torn writes are caught by the CRC receipt

@@ -36,9 +36,10 @@ because a silent or bleeding worker stays that way until evicted:
   partition onward is AND-masked with ``bias_mask`` (default
   ``0xFE`` — the low bit of every byte forced to zero).  This models a
   *defective generator*, not a damaged transfer: the bytes verify
-  clean, retries reproduce them, and only statistical QA (the
-  ``repro serve --qa`` sidecar, or the RCT/APT screen for gross masks)
-  can catch them.
+  clean, retries reproduce them, and pool and fleet alike serve them.
+  Only the service latch's RCT/APT screen (for gross masks) or
+  statistical QA (the ``repro serve --qa`` sidecar) flags them; nothing
+  evicts or retries for them.
 
 Plans are consulted by the one worker shell every process-level worker
 runs in (:func:`repro.robust.supervisor.attempt_shell`: crash/delay
@@ -49,9 +50,9 @@ the ``REPRO_FAULT_PLAN`` environment variable (a JSON plan,
 :meth:`FaultPlan.resolve`), so a spawn-context worker with no shared
 memory still injects identically.  Because a pool-level entry fires only on its
 exact attempt number, every pool plan is finite: retried partitions
-eventually run clean and regenerate byte-identical output.  Fleet plans
-terminate differently — the fleet evicts the faulty member and
-reassigns its work to a clean peer.
+eventually run clean and regenerate byte-identical output.  The
+``hb_silence`` and ``slow_bleed`` plans terminate differently — the
+fleet evicts the faulty member and reassigns its work to a clean peer.
 """
 
 from __future__ import annotations

@@ -255,9 +255,8 @@ class AdaptiveProportionTest:
 class HealthScreen:
     """The one continuous-test screen: an RCT/APT pair over one stream.
 
-    Held by the service latch (:class:`repro.serve.engine.HealthState`),
-    each fleet member's screen and :class:`HealthMonitoredBSRNG`, which
-    differ only in policy.  It owns the pair, the stream position (bytes
+    Held by the service latch (:class:`repro.serve.engine.HealthState`)
+    and :class:`HealthMonitoredBSRNG`, which differ only in policy.  It owns the pair, the stream position (bytes
     screened clean) and reset-on-failure: a failing buffer is not
     counted, clears both tests and returns a positioned
     :class:`HealthEvent`.

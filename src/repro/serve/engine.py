@@ -407,7 +407,7 @@ class ServeEngine:
         False-positive rate for the screening cutoffs.
     fleet:
         Mount a supervised :class:`~repro.fleet.controller.FleetController`
-        (heartbeat liveness, health eviction, lease reassignment, elastic
+        (heartbeat liveness, receipt strikes, lease reassignment, elastic
         sizing) in place of the anonymous pool.  When set, ``workers`` is
         ignored — membership is the fleet's business — and worker loss is
         absorbed below this engine: chunks are regenerated by healthy
@@ -572,8 +572,8 @@ class ServeEngine:
                 if not cfg.degrade_sequential:
                     raise
             else:
-                # the fleet screens per worker (and evicts); the tail's
-                # screen latches the service-wide /healthz verdict
+                # the fleet checks receipts only; the one screen is the
+                # tail's, which latches the service-wide /healthz verdict
                 return self._finish(data)
         elif self._pool is not None:
             for attempt in range(cfg.max_retries + 1):

@@ -144,8 +144,6 @@ class TestConfigValidation:
     def test_worker_spec_validation(self):
         with pytest.raises(SpecificationError):
             WorkerSpec(heartbeat_interval=0.0)
-        with pytest.raises(SpecificationError):
-            WorkerSpec(max_streams=0)
 
 
 class TestMembership:
@@ -321,9 +319,10 @@ class TestReceiptsAndScreening:
         assert struck.state == "evicted" or struck.strikes >= 1
         ctrl.close()
 
-    def test_stuck_output_health_eviction(self):
-        """A wedged worker (constant bytes, *valid* CRC) is caught by its
-        per-worker RCT screen and evicted immediately."""
+    def test_stuck_output_with_valid_crc_is_accepted(self):
+        """The fleet does not screen: constant bytes with a *valid* CRC
+        are the member's verified output, accepted as they are (the
+        service latch is the one screen on a served byte)."""
         ctrl, transport, clock = make_fleet()
         register_all(ctrl, transport, clock)
         (job,) = ctrl.submit_range(0, 256)
@@ -334,16 +333,9 @@ class TestReceiptsAndScreening:
                     payload=wedged, crc=payload_crc(wedged)),
             clock.now,
         )
-        assert ctrl.members[owner].state == "evicted"
-        assert ctrl.members[owner].evicted_reason == "health"
-        assert ctrl.try_collect([job]) is None  # suspect bytes not served
-        ctrl.reconcile(clock.now)
-        peer = next(
-            wid for wid, m in ctrl.members.items()
-            if m.state == "live" and job.job_id in m.inflight
-        )
-        ctrl.handle_message(result_msg(job, peer), clock.now)
-        assert ctrl.try_collect([job]) == stream_bytes(0, 256)
+        assert ctrl.members[owner].state == "live"
+        assert ctrl.evictions == 0
+        assert ctrl.try_collect([job]) == wedged
         ctrl.close()
 
     def test_short_payload_is_a_strike(self):

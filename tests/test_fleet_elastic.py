@@ -5,8 +5,16 @@ deadlines (the container may have a single core, so freshly launched
 workers can be CPU-starved by a busy sibling; a tight deadline would
 evict healthy members and make these tests flaky)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import time
+
 from repro.fleet import FleetConfig, FleetController
 from repro.robust.faults import Fault, FaultPlan
+from repro.robust.health import HealthScreen
 from repro.robust.supervisor import SupervisorConfig
 from repro.serve.engine import ServeEngine, StreamConfig
 
@@ -93,6 +101,92 @@ class TestChaosDrills:
             status = ctrl.status()
         assert data == reference(32768)
         assert status["counters"]["evictions"] >= 2
+
+
+class TestOneChannelPerMember:
+    def test_repeated_evictions_never_wedge_the_fleet(self):
+        """Killing the newest live member 30 times, 50 ms apart, breaks
+        only that member's pipe: every replacement registers and
+        heartbeats, nobody is evicted for silence, and the fleet then
+        serves bit-identical bytes."""
+        config = make_config(
+            heartbeat_interval=0.01, heartbeat_timeout=1.0, max_workers=2, max_evictions=100
+        )
+
+        def states(ctrl) -> dict[int, str]:
+            return {w["worker_id"]: w["state"] for w in ctrl.status()["workers"]}
+
+        def wait_for(predicate, what: str) -> None:
+            deadline = time.monotonic() + 20.0
+            while not predicate():
+                assert time.monotonic() < deadline, f"{what} within 20 s"
+                time.sleep(0.01)
+
+        with FleetController(STREAM, config) as ctrl:
+            for _ in range(30):
+                wait_for(lambda: "live" in states(ctrl).values(), "a live member")
+                victim = max(wid for wid, state in states(ctrl).items() if state == "live")
+                ctrl.transport.kill(victim)
+                wait_for(lambda: states(ctrl)[victim] == "evicted", "the kill noticed")
+                time.sleep(0.05)
+            data = ctrl.read_range(0, 65536, timeout=60)
+            status = ctrl.status()
+        assert data == reference(65536)
+        reasons = [w["evicted_reason"] for w in status["workers"] if w["state"] == "evicted"]
+        assert len(reasons) == 30 and set(reasons) == {"crash"}, status["events"]
+
+    def test_screen_trip_chunk_is_served_without_eviction(self):
+        """The chunk holding Trivium seed 0's first 2^-20 RCT trip (byte
+        685,976) comes back as the offline bytes, fast, with no eviction:
+        the fleet checks receipts, the service latch screens."""
+        stream = StreamConfig("trivium", 0, 4096)
+        offline = stream.make_rng()
+        offline.skip_bytes(655360)
+        expected = offline.random_bytes(65536)
+        assert HealthScreen(2.0**-20).update(expected) is not None
+        with FleetController(stream, FleetConfig(workers=2)) as ctrl:
+            t0 = time.perf_counter()
+            data = ctrl.read_range(655360, 65536, timeout=60)
+            elapsed = time.perf_counter() - t0
+            evictions = ctrl.evictions
+        assert data == expected
+        assert evictions == 0
+        assert elapsed < 1.0
+
+    def test_kernel_imported_before_the_first_member_forks(self):
+        """A replacement forked while a parent thread is mid-import of
+        the kernel module would inherit the held module lock and hang on
+        its first job; the transport imports the kernel up front, before
+        any parent-side generator is built."""
+        code = textwrap.dedent(
+            """
+            import sys
+            from repro.fleet import FleetConfig, FleetController
+            from repro.serve.engine import StreamConfig
+
+            MOD = "repro.ciphers.trivium_bitsliced"
+            assert MOD not in sys.modules
+            built = []
+            make_rng = StreamConfig.make_rng
+            StreamConfig.make_rng = lambda self: built.append(MOD in sys.modules) or make_rng(self)
+            ctrl = FleetController(StreamConfig("trivium", 3, 64), FleetConfig(workers=1))
+            assert MOD in sys.modules and not built
+            ctrl.start(supervise=False)
+            data = ctrl.read_range(0, 4096, timeout=60)
+            ctrl.close()
+            assert len(data) == 4096 and not built
+            """
+        )
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env.pop("REPRO_FAULT_PLAN", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestServeEngineFleet:

@@ -67,6 +67,7 @@ FLEET = {
     ("repro_fleet_chunk_seconds", ()),
     ("repro_fleet_evictions_total", ("reason",)),
     ("repro_fleet_jobs_total", ()),
+    ("repro_fleet_receipt_failures_total", ()),
     ("repro_fleet_target_workers", ()),
     ("repro_fleet_workers", ("state",)),
     ("repro_result_pickled_payload_bytes_total", ()),
@@ -79,13 +80,13 @@ FLEET = {
 def test_fleet_series():
     good = stream_bytes(0, 256)  # the reference draw stays out of the scope
     with obs.scoped() as reg:
-        ctrl, transport, clock = make_fleet()
+        ctrl, transport, clock = make_fleet(max_strikes=1)
         register_all(ctrl, transport, clock)
         (job,) = ctrl.submit_range(0, 256)
         owner = next(wid for wid, sent in transport.sent.items() if job in sent)
-        wedged = b"\x00" * 256
+        flipped = good[:-1] + bytes([good[-1] ^ 1])
         ctrl.handle_message(
-            Message("result", owner, job_id=job.job_id, payload=wedged, crc=payload_crc(wedged)),
+            Message("result", owner, job_id=job.job_id, payload=flipped, crc=payload_crc(good)),
             clock.now,
         )
         ctrl.reconcile(clock.now)

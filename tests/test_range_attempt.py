@@ -104,12 +104,10 @@ class TestFleetWorkers:
         assert passes == 16
 
     def test_bias_masks_fleet_bytes_with_zero_crc_rejects(self):
-        # screen=False isolates the fault path: the bias must pass every
-        # transfer-level defence, exactly as on the serve pool
+        # the bias must pass every transfer-level defence, exactly as on
+        # the serve pool; the fleet serves it and evicts no one
         with obs.scoped() as reg:
-            with FleetController(
-                STREAM, fleet_config(screen=False), fault_plan=BIAS
-            ) as ctrl:
+            with FleetController(STREAM, fleet_config(), fault_plan=BIAS) as ctrl:
                 data = ctrl.read_range(0, 65536, timeout=120)
                 status = ctrl.status()
         assert data == masked(reference(65536))

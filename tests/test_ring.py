@@ -196,8 +196,10 @@ class TestMultiDeviceRing:
         assert out == gen.sequential_reference(6)
         assert not gen.last_report.degraded
 
-    def test_ring_disabled_still_correct(self):
-        gen = _multidevice("fork", use_ring=False)
+    def test_ring_disabled_still_correct(self, monkeypatch):
+        # no shared memory: partitions fall back to pickled payloads
+        monkeypatch.setattr(SharedMemoryRing, "try_create", classmethod(lambda cls, *a: None))
+        gen = _multidevice("fork")
         with obs.scoped() as reg:
             out = gen.generate(4)
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == 0
@@ -255,7 +257,6 @@ class TestFleetRing:
             mp_context="fork",
             heartbeat_timeout=30.0,
             max_strikes=3,
-            screen=False,  # isolate the CRC receipt path
         )
         with obs.scoped() as reg:
             with FleetController(stream, cfg, fault_plan=plan) as fleet:
@@ -264,7 +265,9 @@ class TestFleetRing:
             assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 0
         assert out == ref
 
-    def test_ring_disabled_still_correct(self):
+    def test_ring_disabled_still_correct(self, monkeypatch):
+        # no shared memory: members ship pickled payload bytes
+        monkeypatch.setattr(SharedMemoryRing, "try_create", classmethod(lambda cls, *a: None))
         stream = self._stream()
         n = 2 * 16384
         ref = RangeSource(stream).read_range(0, n)
@@ -273,7 +276,6 @@ class TestFleetRing:
             chunk_bytes=16384,
             mp_context="fork",
             heartbeat_timeout=30.0,
-            use_ring=False,
         )
         with obs.scoped() as reg:
             with FleetController(stream, cfg) as fleet:

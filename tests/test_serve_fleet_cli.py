@@ -1,13 +1,13 @@
-"""``repro serve --fleet``: the service latch's alpha stays out of the fleet.
+"""``repro serve --fleet``: one screen per served byte, and no eviction for it.
 
 ``--alpha`` sets the false-positive rate of the service-wide ``/healthz``
-screen (2^-20 by default, a 4-byte RCT run).  The fleet's per-worker
-screen *evicts* on failure and is sized for volume at 2^-30; handing it
-the latch's alpha evicted healthy members on ordinary runs of the
-default stream and stalled the daemon on replacements.  The regression
-boots the real CLI over a 2-member fleet, reads the first MiB of the
-default seed-0 Trivium stream and requires no eviction, while the
-service latch still fires exactly where the pool path reports it.
+screen (2^-20 by default, a 4-byte RCT run).  That latch is the only
+RCT/APT screen on a served byte: fleet members are checked by their CRC
+receipts alone, because a verified chunk is the stream's own bytes and
+every peer would return the same ones.  The regression boots the real
+CLI over a 2-member fleet and reads the first MiB of the default seed-0
+Trivium stream.  The latch trips once, exactly where the pool path
+reports it, the chunk is served, and no member is evicted.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _get(url: str) -> tuple[int, bytes]:
         return err.code, err.read()
 
 
-def test_fleet_keeps_its_own_alpha_and_evicts_no_healthy_member():
+def test_fleet_trip_costs_one_screen_reject_and_no_eviction():
     env = dict(os.environ)
     env.pop("REPRO_FAULT_PLAN", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -66,8 +66,10 @@ def test_fleet_keeps_its_own_alpha_and_evicts_no_healthy_member():
         status, body = _get(f"{base}/v1/bytes?n={1 << 20}")
         assert status == 200 and len(body) == 1 << 20
 
-        fleet = json.loads(_get(f"{base}/v1/status")[1])["engine"]["fleet"]
+        engine = json.loads(_get(f"{base}/v1/status")[1])["engine"]
+        fleet = engine["fleet"]
         assert fleet["counters"]["evictions"] == 0, fleet["events"]
+        assert engine["chunks"]["screen_rejects"] == 1
 
         status, body = _get(f"{base}/healthz")
         health = json.loads(body)
