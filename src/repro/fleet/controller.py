@@ -225,10 +225,13 @@ class FleetController:
             # the local transport returns payloads through a shared-memory
             # ring; a slot is leased per *dispatched* job, so the pool only
             # needs to cover the maximum in-flight depth; overflow jobs
-            # (and injected transports) ship their payload bytes
+            # (and injected transports) ship their payload bytes.  The
+            # ring's backing follows the members' start method (a fork
+            # ring needs no tracker) and exists before any member forks
             self._ring = SharedMemoryRing.try_create(
                 self.config.chunk_bytes,
                 self.config.max_workers * self.config.max_inflight_per_worker,
+                self.config.mp_context,
             )
             spec = WorkerSpec(
                 stream=self.stream,

@@ -29,7 +29,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 from repro.core.generator import import_kernel
-from repro.core.ring import RingSlotRef
+from repro.core.ring import RingSlotRef, resolve_start_method
 from repro.errors import SpecificationError
 from repro.serve.engine import StreamConfig
 
@@ -158,15 +158,13 @@ class LocalProcessTransport(Transport):
     closed descriptor.  ``fork`` is preferred where available (a fixed
     ~second of import cost per spawn would swamp small jobs and slow
     eviction replacement); ``mp_context="spawn"`` exercises the
-    no-shared-memory path.
+    named-segment result ring.
     """
 
     def __init__(self, spec: WorkerSpec, mp_context: str | None = None) -> None:
         self.spec = spec
-        if mp_context is None:
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(mp_context)
-        self.mp_context = mp_context
+        self.mp_context = resolve_start_method(mp_context)
+        self._ctx = mp.get_context(self.mp_context)
         # replacements fork from the supervision thread while other
         # threads run: a member forked mid-import of the kernel would
         # inherit the held module lock and hang on its first job

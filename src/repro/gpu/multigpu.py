@@ -395,7 +395,7 @@ class MultiDeviceGenerator(_SupervisedDevices):
             parts = [p for p in partition_counter_space(total_blocks, self.n_devices)
                      if p.n_blocks > 0]
             slot_bytes = max(p.n_blocks for p in parts) * self.block_bytes
-            ring = SharedMemoryRing.try_create(slot_bytes, len(parts))
+            ring = SharedMemoryRing.try_create(slot_bytes, len(parts), self.mp_context)
         try:
             results = self._supervise(
                 _device_worker, lambda: self._jobs(total_blocks, ring=ring), parallel,

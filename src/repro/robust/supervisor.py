@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro import obs
+from repro.core.ring import resolve_start_method
 from repro.crc import CRC32_IEEE, table_crc_bytes
 from repro.errors import DeviceFailureError, PartitionCorruptionError, SpecificationError
 from repro.obs import flight
@@ -244,12 +245,7 @@ class PartitionSupervisor:
             raise SpecificationError(
                 f"mp_context must be a start-method name or None, not {type(mp_context).__name__}"
             )
-        if mp_context is None:
-            # fork avoids re-importing the stack in every worker (a fixed
-            # ~second per device that would swamp small jobs); platforms
-            # without fork fall back to spawn.
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self.mp_context = mp_context
+        self.mp_context = resolve_start_method(mp_context)
         self.config = config or SupervisorConfig()
         self.report = SupervisorReport()
         self._job_t0 = time.monotonic()

@@ -193,7 +193,9 @@ class ServeDaemon:
         ``bound_port`` is known) — the CLI uses it to print a parseable
         readiness line for supervisors and smoke tests.
         """
-        self.engine.start()  # pool forks before any request thread exists
+        # the pool (and its ring, slots of one chunk) forks before any
+        # request thread exists
+        self.engine.start(chunk_bytes=self.config.chunk_bytes)
         obs.enable_metrics()
         flight.set_role("daemon")
         tracer = obs.active_tracer()

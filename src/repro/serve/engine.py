@@ -30,6 +30,11 @@ machinery the batch layers built:
   (:class:`~repro.robust.faults.FaultPlan`) keyed by ``(chunk_id,
   attempt)``, so drills can crash a worker, wedge or bias a payload
   deterministically;
+* **zero-copy bulk results** — a pool chunk above
+  :data:`RING_MIN_BYTES` comes back through a ring slot
+  (:class:`~repro.core.ring.SharedMemoryRing`, created before the pool
+  forks), not pickled through the pool's result pipe; the parent copies
+  it out and checks its receipt on the copy;
 * **health gating** — pool, fleet and inline chunks share one
   acceptance tail: the SP 800-90B Repetition Count / Adaptive Proportion
   screen (:class:`HealthState`, one
@@ -64,7 +69,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.generator import BSRNG
-from repro.core.ring import attach_ring
+from repro.core.ring import SharedMemoryRing, attach_ring, resolve_start_method
 from repro.errors import DeviceFailureError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs import flight
@@ -264,19 +269,23 @@ def _worker_init() -> None:
     obs.disable_tracing()
 
 
-def _serve_chunk(job: tuple, attempt: int = 0) -> tuple[bytes, int, dict | None]:
+def _serve_chunk(job: tuple, attempt: int = 0, ring: tuple | None = None) -> tuple:
     """One pool chunk → ``(data, crc, spans)``: :func:`range_attempt` in the
     bare shell (serve workers ship no metrics), faults from
     ``REPRO_FAULT_PLAN`` keyed by ``(chunk_id, attempt)``.
 
-    ``job`` is ``(chunk_id, config, offset, n, trace)``.
+    ``job`` is ``(chunk_id, config, offset, n, trace)``.  Without *ring*
+    the bytes ship pickled as ``data``; with *ring* ``(name, slot_bytes,
+    slots, slot)`` they are parked in that slot of the engine's
+    :class:`~repro.core.ring.SharedMemoryRing` and ``data`` is their
+    :class:`~repro.core.ring.RingSlotRef`.
     """
     chunk_id, config, offset, n, trace = job
     source = _WORKER_SOURCES.get(config)
     if source is None:
         source = _WORKER_SOURCES[config] = RangeSource(config)
     return range_attempt(
-        source, chunk_id, attempt, offset, n, FaultPlan.from_env(),
+        source, chunk_id, attempt, offset, n, FaultPlan.from_env(), ring=ring,
         trace=trace, span_name="serve.worker_chunk", process_name="serve-pool-worker",
     )
 
@@ -359,6 +368,30 @@ class HealthState:
 
 
 # -- the engine ------------------------------------------------------------------
+#: A pool chunk larger than this returns through a ring slot.  Up to it,
+#: ``multiprocessing.connection`` sends a pickled result's header and body
+#: in one write, and a slot ref's pickle plus the parent's resolve cost
+#: more than the copy they save.
+RING_MIN_BYTES = 16 * 1024
+
+#: Slots in the serve pool's ring: 1 MiB at the default 64 KiB chunk,
+#: enough for several pipelined streams in flight.
+RING_SLOTS = 16
+
+
+class _SlotLease:
+    """One pool attempt's ring slot.  Two parties hold it — the attempt
+    that writes it and the ticket that reads it — and it goes back to the
+    free list only when both have let go, so a live writer never shares
+    its slot with a later chunk."""
+
+    __slots__ = ("slot", "holds")
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
+        self.holds = 2
+
+
 @dataclass
 class EngineStats:
     """Dispatch counters for ``/v1/status`` (guarded by the engine lock)."""
@@ -384,10 +417,19 @@ class ChunkTicket:
     n: int
     span: DetachedSpan | None  #: ``serve.chunk``, dispatch to acceptance
     pending: multiprocessing.pool.AsyncResult | None = None  #: running pool attempt
+    lease: _SlotLease | None = None  #: the running attempt's ring slot, if any
 
 
 class ServeEngine:
     """Generate lease ranges through a persistent supervised worker pool.
+
+    A pool chunk above :data:`RING_MIN_BYTES` that fits a slot returns
+    through the engine's ring of :data:`RING_SLOTS` slots of
+    ``start(chunk_bytes)`` each.  Each pool attempt leases its own slot;
+    the slot is free again once the attempt has finished *and* the
+    ticket has copied it out or let go (timeout, :meth:`cancel`), so a
+    still-running writer never shares its slot with a later chunk.
+    Smaller chunks, and any chunk that finds no free slot, ship pickled.
 
     Parameters
     ----------
@@ -405,6 +447,10 @@ class ServeEngine:
         Run the RCT/APT health screen over accepted chunks.
     alpha:
         False-positive rate for the screening cutoffs.
+    mp_context:
+        Start method of the pool's workers (``None``: fork where
+        available).  It also picks the result ring's backing: an
+        anonymous mapping under fork, a named segment otherwise.
     fleet:
         Mount a supervised :class:`~repro.fleet.controller.FleetController`
         (heartbeat liveness, receipt strikes, lease reassignment, elastic
@@ -439,24 +485,28 @@ class ServeEngine:
         self.health = HealthState(alpha)
         self.stats = EngineStats()
         self._stats_lock = threading.Lock()
-        if mp_context is None:
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self.mp_context = mp_context
+        self.mp_context = resolve_start_method(mp_context)
         self.fleet_config = fleet  # FleetConfig | None (lazy import below)
         self._fleet = None  # FleetController once started
         self.qa = qa  # QASidecar | None
         if qa is not None:
             qa.bind(self.health)
         self._pool: multiprocessing.pool.Pool | None = None
+        self._ring: SharedMemoryRing | None = None
+        self._free_slots: list[int] = []  # LIFO: hot slots stay hot
+        self._slot_lock = threading.Lock()
         self._inline: RangeSource | None = None
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, chunk_bytes: int = 1 << 16) -> None:
         """Spin up the worker pool (idempotent).
 
         Call *before* the event loop starts serving: fork-context pools
-        must not be created after request threads exist.
+        must not be created after request threads exist.  The pool's
+        result ring is created first, so every worker — the pool's
+        later replacements included — forks with it mapped; its slots
+        hold *chunk_bytes* each (the daemon's ``chunk_bytes``).
         """
         if self._started:
             return
@@ -474,6 +524,10 @@ class ServeEngine:
             return
         obs.set_gauge("repro_serve_pool_workers", self.workers)
         if self.workers > 0:
+            if chunk_bytes > RING_MIN_BYTES:
+                self._ring = SharedMemoryRing.try_create(chunk_bytes, RING_SLOTS, self.mp_context)
+                if self._ring is not None:
+                    self._free_slots = list(range(self._ring.slots))
             ctx = mp.get_context(self.mp_context)
             self._pool = ctx.Pool(processes=self.workers, initializer=_worker_init)
 
@@ -488,6 +542,9 @@ class ServeEngine:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+        if self._ring is not None:
+            self._ring.close()
+            self._ring = None
         self._started = False
 
     def _inline_source(self) -> RangeSource:
@@ -552,7 +609,9 @@ class ServeEngine:
 
     def cancel(self, ticket: ChunkTicket) -> None:
         """Abandon an uncollected ticket; a pool attempt still running
-        finishes unobserved (its bytes are never screened or served)."""
+        finishes unobserved (its bytes are never screened or served) and
+        keeps its ring slot until it does."""
+        self._let_go(ticket)
         if ticket.span is not None:
             ticket.span.finish(cancelled=True)
 
@@ -582,7 +641,10 @@ class ServeEngine:
                     self._count(retries=1)
                     obs.inc("repro_serve_chunk_retries_total")
                     ticket.pending = self._dispatch(ticket, attempt)
-                data = self._await_attempt(ticket, cfg)
+                try:
+                    data = self._await_attempt(ticket, cfg)
+                finally:
+                    self._let_go(ticket)
                 if data is not None:
                     return self._finish(data)
             if not cfg.degrade_sequential:
@@ -612,14 +674,50 @@ class ServeEngine:
         return data
 
     def _dispatch(self, ticket: ChunkTicket, attempt: int) -> multiprocessing.pool.AsyncResult:
-        """Start one pool attempt of *ticket*'s chunk."""
+        """Start one pool attempt of *ticket*'s chunk.
+
+        A chunk above :data:`RING_MIN_BYTES` that fits a slot leases a
+        free one for this attempt; with none free it ships pickled.  The
+        attempt's completion (result or error) is the writer letting go.
+        """
         wire = ticket.span.context.to_wire() if ticket.span is not None else None
         job = (ticket.chunk_id, self.config, ticket.offset, ticket.n, wire)
-        return self._pool.apply_async(_serve_chunk, (job, attempt))
+        ring = self._ring
+        lease = None
+        if ring is not None and RING_MIN_BYTES < ticket.n <= ring.slot_bytes:
+            with self._slot_lock:
+                if self._free_slots:
+                    lease = _SlotLease(self._free_slots.pop())
+        if lease is None:
+            return self._pool.apply_async(_serve_chunk, (job, attempt))
+        ticket.lease = lease
+
+        def done(_result) -> None:
+            self._drop(lease)
+
+        return self._pool.apply_async(
+            _serve_chunk, (job, attempt, (*ring.spec, lease.slot)),
+            callback=done, error_callback=done,
+        )
+
+    def _drop(self, lease: _SlotLease) -> None:
+        """One holder lets go of *lease*; the last one frees its slot."""
+        with self._slot_lock:
+            lease.holds -= 1
+            if lease.holds == 0:
+                self._free_slots.append(lease.slot)
+
+    def _let_go(self, ticket: ChunkTicket) -> None:
+        """The ticket stops reading its current attempt's slot (if any)."""
+        lease, ticket.lease = ticket.lease, None
+        if lease is not None:
+            self._drop(lease)
 
     def _await_attempt(self, ticket: ChunkTicket, cfg: SupervisorConfig) -> bytes | None:
-        """Wait for the pending pool attempt and verify its CRC receipt;
-        ``None`` means retry (reason counted)."""
+        """Wait for the pending pool attempt, copy a ring-parked payload
+        out of its slot and verify the CRC receipt on the copy — so a
+        torn or stale slot is retried like a corrupted transfer; ``None``
+        means retry (reason counted)."""
         try:
             data, crc, spans = ticket.pending.get(cfg.timeout)
         except mp.TimeoutError:
@@ -635,6 +733,8 @@ class ServeEngine:
             tracer = obs.active_tracer()
             if tracer is not None:
                 tracer.merge(spans)
+        if self._ring is not None and ticket.n > RING_MIN_BYTES:
+            data = self._ring.resolve(data)  # a slot ref, or bytes that shipped pickled
         if payload_crc(data) != crc:
             self._count(crc_rejects=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="corrupt")

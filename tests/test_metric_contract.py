@@ -43,23 +43,31 @@ SERVE_POOL = {
 }
 
 
+#: A bulk chunk (above 16 KiB) returns through the pool's ring.
+SERVE_POOL_RING = SERVE_POOL | {
+    ("repro_ring_payload_bytes_total", ()),
+    ("repro_ring_slot_writes_total", ()),
+}
+
+
 def test_serve_pool_series(monkeypatch):
     plan = FaultPlan((Fault("crash", 0, 0), Fault("corrupt", 1, 0)), seed=3)
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-    engine = ServeEngine(
-        StreamConfig(algorithm="trivium", seed=7, lanes=256),
-        workers=1,
-        supervision=SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0),
-    )
-    with obs.scoped() as reg:
-        engine.start()
-        try:
-            for chunk_id in range(2):
-                engine.generate_range(chunk_id * 4096, 4096, chunk_id=chunk_id)
-        finally:
-            engine.close()
-    assert engine.stats.worker_errors == 1 and engine.stats.crc_rejects == 1
-    assert series(reg) == SERVE_POOL
+    for chunk, expected in ((4096, SERVE_POOL), (65536, SERVE_POOL_RING)):
+        engine = ServeEngine(
+            StreamConfig(algorithm="trivium", seed=7, lanes=256),
+            workers=1,
+            supervision=SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0),
+        )
+        with obs.scoped() as reg:
+            engine.start()
+            try:
+                for chunk_id in range(2):
+                    engine.generate_range(chunk_id * chunk, chunk, chunk_id=chunk_id)
+            finally:
+                engine.close()
+        assert engine.stats.worker_errors == 1 and engine.stats.crc_rejects == 1
+        assert series(reg) == expected, chunk
 
 
 FLEET = {

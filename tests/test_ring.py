@@ -1,19 +1,22 @@
 """Zero-copy output ring: unit behaviour, leak safety, zero-pickle paths.
 
 Covers :mod:`repro.core.ring` directly (slot bounds, ref validation,
-resolve accounting, owner/attacher lifecycle), the segment-leak
-guarantees (unlink on close; resource-tracker reclamation when the owner
-dies by SIGTERM without cleanup), and the two parallel result paths that
-ride on it: :class:`~repro.gpu.multigpu.MultiDeviceGenerator` partitions
-and fleet chunk leases must move **zero pickled payload bytes** for
-ring-eligible chunks while staying bit-identical to the sequential
-reference — including through a corruption fault drill, where a damaged
-slot payload must fail the CRC receipt and be retried.
+resolve accounting, owner/attacher lifecycle, the anonymous fork
+backing), the leak guarantees (a named segment is unlinked on close and
+reclaimed by the resource tracker when its owner dies by SIGTERM; a
+fork ring starts no tracker at all), and the three parallel result
+paths that ride on it: :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
+partitions, fleet chunk leases and the serve pool's bulk chunks must
+move **zero pickled payload bytes** for ring-eligible chunks while
+staying bit-identical to the sequential reference — including through
+a corruption fault drill, where a damaged slot payload must fail the
+CRC receipt and be retried.
 """
 
 import os
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing import shared_memory
 
@@ -24,8 +27,11 @@ from repro.core.ring import RingSlotRef, SharedMemoryRing, attach_ring
 from repro.errors import SpecificationError
 from repro.fleet.controller import FleetConfig, FleetController
 from repro.gpu.multigpu import MultiDeviceGenerator
-from repro.robust.faults import Fault, FaultPlan
-from repro.serve.engine import RangeSource, StreamConfig
+from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
+from repro.robust.supervisor import SupervisorConfig
+from repro.serve.engine import RangeSource, ServeEngine, StreamConfig
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _counter_total(reg, name: str) -> int:
@@ -109,6 +115,33 @@ class TestRingUnit:
                 assert _counter_total(reg, "repro_ring_slot_writes_total") == 1
                 assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 8
 
+    def test_anonymous_ring_is_shared_with_fork_children(self):
+        # a fork child finds the ring in the inherited table and writes
+        # through the parent's own mapping; no segment name exists
+        with SharedMemoryRing(16, 2, anonymous=True) as ring:
+            assert attach_ring(ring.name, 16, 2) is ring
+            assert not _segment_exists(ring.name)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                try:
+                    attach_ring(ring.name, 16, 2).write(1, b"from child")
+                finally:
+                    os._exit(0)
+            os.waitpid(pid, 0)
+            assert ring.read(RingSlotRef(ring.name, 1, 10)) == b"from child"
+        with pytest.raises(FileNotFoundError):
+            attach_ring(ring.name, 16, 2)  # closed: gone from the table
+
+    def test_try_create_backing_follows_start_method(self):
+        fork_ring = SharedMemoryRing.try_create(16, 1, "fork")
+        spawn_ring = SharedMemoryRing.try_create(16, 1, "spawn")
+        try:
+            assert fork_ring.shm is None and not _segment_exists(fork_ring.name)
+            assert spawn_ring.shm is not None and _segment_exists(spawn_ring.name)
+        finally:
+            fork_ring.close()
+            spawn_ring.close()
+
     def test_attach_ring_caches_per_process(self):
         with SharedMemoryRing(16, 2) as ring:
             a = attach_ring(ring.name, 16, 2)
@@ -154,7 +187,7 @@ class TestRingLifecycle:
             "ring = SharedMemoryRing(64, 2)\n"
             "print(ring.name, flush=True)\n"
             "time.sleep(60)\n"
-        ) % os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        ) % SRC
         proc = subprocess.Popen(
             [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True
         )
@@ -170,6 +203,45 @@ class TestRingLifecycle:
         finally:
             proc.kill()
             proc.stdout.close()
+
+
+    def test_fork_rings_start_no_tracker(self):
+        """A fork-context fleet, serve pool and multi-device job each
+        return payloads through a ring, and none starts the
+        ``resource_tracker`` process a named segment would need."""
+        code = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro import obs\n"
+            "from repro.fleet.controller import FleetConfig, FleetController\n"
+            "from repro.gpu.multigpu import MultiDeviceGenerator\n"
+            "from repro.serve.engine import ServeEngine, StreamConfig\n"
+            "stream = StreamConfig(algorithm='trivium', seed=11, lanes=128)\n"
+            "with obs.scoped() as reg:\n"
+            "    cfg = FleetConfig(workers=1, chunk_bytes=16384, mp_context='fork',\n"
+            "                      heartbeat_timeout=30.0)\n"
+            "    with FleetController(stream, cfg) as fleet:\n"
+            "        fleet.read_range(0, 32768, timeout=120.0)\n"
+            "    engine = ServeEngine(stream, workers=1, mp_context='fork')\n"
+            "    engine.start()\n"
+            "    try:\n"
+            "        engine.generate_range(0, 65536)\n"
+            "    finally:\n"
+            "        engine.close()\n"
+            "    gen = MultiDeviceGenerator('trivium', seed=7, lanes=128, n_devices=2,\n"
+            "                               block_bytes=4096, mp_context='fork')\n"
+            "    gen.generate(4)\n"
+            "    ring = sum(e['value'] for e in reg.snapshot()['metrics']\n"
+            "               if e['name'] == 'repro_ring_payload_bytes_total')\n"
+            "print(ring, resource_tracker._resource_tracker._pid)\n"
+        ) % SRC
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert out.returncode == 0, out.stderr
+        ring_bytes, tracker = out.stdout.split()
+        assert int(ring_bytes) == 32768 + 65536 + 4 * 4096
+        assert tracker == "None"
 
 
 # -- multi-device zero-pickle path ---------------------------------------------------
@@ -284,3 +356,124 @@ class TestFleetRing:
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == 0
             assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == n
         assert out == ref
+
+
+# -- serve pool bulk-chunk path ------------------------------------------------------
+class TestServePoolRing:
+    STREAM = StreamConfig(algorithm="trivium", seed=7, lanes=256)
+
+    def _engine(self, **kw) -> ServeEngine:
+        kw.setdefault("supervision", SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0))
+        return ServeEngine(self.STREAM, **kw)
+
+    def _serve(self, engine: ServeEngine, chunk: int, count: int) -> bytes:
+        engine.start()
+        try:
+            tickets = [engine.submit(i * chunk, chunk, chunk_id=i) for i in range(count)]
+            return b"".join(engine.collect(t) for t in tickets)
+        finally:
+            engine.close()
+
+    def test_bulk_chunks_ride_the_ring(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        engine = self._engine(workers=1)
+        with obs.scoped() as reg:
+            out = self._serve(engine, 65536, 6)
+            assert _counter_total(reg, "repro_ring_payload_bytes_total") == len(out)
+            assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 0
+        assert out == RangeSource(self.STREAM).read_range(0, 6 * 65536)
+        assert engine.stats.crc_rejects == 0 and engine.stats.retries == 0
+
+    def test_small_chunks_never_touch_the_ring(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        engine = self._engine(workers=1)
+        with obs.scoped() as reg:
+            out = self._serve(engine, 4096, 4)
+            names = {e["name"] for e in reg.snapshot()["metrics"]}
+        assert out == RangeSource(self.STREAM).read_range(0, 4 * 4096)
+        assert not any(name.startswith("repro_ring_") for name in names)
+        assert "repro_result_pickled_payload_bytes_total" not in names
+
+    def test_corrupt_slot_payload_is_rejected_and_retried(self, monkeypatch):
+        plan = FaultPlan((Fault("corrupt", 0, 0, corrupt_bytes=3),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        engine = self._engine(workers=1)
+        with obs.scoped() as reg:
+            out = self._serve(engine, 65536, 1)
+            # the damaged attempt and the clean retry both came through a slot
+            assert _counter_total(reg, "repro_ring_payload_bytes_total") == 2 * 65536
+            assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 0
+        assert out == RangeSource(self.STREAM).read_range(0, 65536)
+        assert engine.stats.crc_rejects == 1 and engine.stats.retries == 1
+        assert engine.stats.degraded == 0
+
+    def test_cancelled_attempt_keeps_its_slot_until_it_finishes(self, monkeypatch):
+        plan = FaultPlan((Fault("delay", 0, 0, delay=2.0),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        engine = self._engine(workers=2)
+        engine.start()
+        try:
+            slow = engine.submit(0, 65536, chunk_id=0)
+            held = slow.lease.slot
+            engine.cancel(slow)
+            assert held not in engine._free_slots  # its writer is still running
+            tickets = [engine.submit(i * 65536, 65536, chunk_id=i) for i in range(1, 4)]
+            assert all(t.lease.slot != held for t in tickets)
+            out = b"".join(engine.collect(t) for t in tickets)
+            deadline = time.monotonic() + 30.0
+            while held not in engine._free_slots:  # freed once the attempt ends
+                assert time.monotonic() < deadline, "cancelled attempt never freed its slot"
+                time.sleep(0.05)
+        finally:
+            engine.close()
+        assert out == RangeSource(self.STREAM).read_range(65536, 3 * 65536)
+        assert engine.stats.crc_rejects == 0
+
+    def test_slot_free_list_survives_concurrent_collectors(self, monkeypatch):
+        """More workers than cores, four collector threads, cancels in the
+        mix and a tiny switch interval: every slot must come back exactly
+        once (a lost or doubled free-list update breaks the final count)."""
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        chunk, per_thread = 65536, 6
+        engine = self._engine(workers=3)
+        engine.start()
+        served: dict[int, bytes] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client(k: int) -> None:
+                for i in range(per_thread):
+                    offset = (k * per_thread + i) * chunk
+                    ticket = engine.submit(offset, chunk, chunk_id=offset // chunk)
+                    if i % 3 == 2:
+                        engine.cancel(ticket)
+                    else:
+                        served[offset] = engine.collect(ticket)
+
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+            assert not any(t.is_alive() for t in threads)
+            deadline = time.monotonic() + 30.0
+            while len(engine._free_slots) < engine._ring.slots:  # cancelled writers finish
+                assert time.monotonic() < deadline, "slots never returned"
+                time.sleep(0.05)
+            assert sorted(engine._free_slots) == list(range(engine._ring.slots))
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        stream = RangeSource(self.STREAM).read_range(0, 4 * per_thread * chunk)
+        assert len(served) == 4 * (per_thread - per_thread // 3)
+        for offset, data in served.items():
+            assert data == stream[offset : offset + chunk]
+        assert engine.stats.crc_rejects == 0
+
+    def test_spawn_engine_is_bit_identical(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        engine = self._engine(workers=1, mp_context="spawn")
+        with obs.scoped() as reg:
+            out = self._serve(engine, 65536, 2)
+            assert _counter_total(reg, "repro_ring_payload_bytes_total") == len(out)
+        assert out == RangeSource(self.STREAM).read_range(0, 2 * 65536)
