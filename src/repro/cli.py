@@ -288,13 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-l", "--lanes", type=int, default=4096)
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="persistent generation worker processes (0 = inline, no pool)",
-    )
-    serve.add_argument(
-        "--fleet", type=int, default=0, metavar="N", dest="fleet",
-        help="mount a heartbeat-supervised elastic fleet of N workers "
-        "instead of the anonymous pool (heartbeat and receipt eviction, "
-        "lease reassignment; see DESIGN.md §13)",
+        help="size of the heartbeat-supervised worker fleet (heartbeat and "
+        "receipt eviction, lease reassignment; see DESIGN.md §13); "
+        "0 = generate inline, no worker process",
     )
     serve.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="S",
@@ -302,20 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--heartbeat-timeout", type=float, default=5.0, metavar="S",
-        help="silence past this evicts a fleet worker (default 5s)",
+        help="silence past this evicts a fleet worker, so it also bounds "
+        "a wedged chunk (default 5s)",
     )
-    serve.add_argument(
-        "--fleet-chunk-bytes", type=int, default=None, metavar="N",
-        help="fleet lease granularity (default: --chunk-bytes); smaller "
-        "than --chunk-bytes pipelines one request across several workers",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=30.0, help="per-chunk worker timeout (s)"
-    )
-    serve.add_argument("--retries", type=int, default=2, help="per-chunk retry budget")
     serve.add_argument(
         "--chunk-bytes", type=int, default=1 << 16,
-        help="generation / streaming granularity (default 64 KiB)",
+        help="generation / streaming granularity, one fleet job per chunk "
+        "(default 64 KiB)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=4,
@@ -336,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--alpha", type=float, default=2.0**-20,
         help="false-positive rate of the service-wide /healthz screen "
-        "(default 2^-20), the one RCT/APT screen on every served byte, "
-        "with or without --fleet",
+        "(default 2^-20), the one RCT/APT screen on every served byte",
     )
     serve.add_argument(
         "--qa", action="store_true",
@@ -842,24 +830,13 @@ def _cmd_serve(args) -> int:
     import asyncio
     import logging
 
-    from repro.robust.supervisor import SupervisorConfig
+    from repro.fleet import FleetConfig
     from repro.serve import DaemonConfig, ServeDaemon, ServeEngine
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
     )
     stream = _stream_config(args)
-    fleet_config = None
-    if args.fleet > 0:
-        from repro.fleet import FleetConfig
-
-        fleet_config = FleetConfig(
-            workers=args.fleet,
-            max_workers=max(args.fleet * 2, args.fleet + 2),
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            chunk_bytes=args.fleet_chunk_bytes or args.chunk_bytes,
-        )
     qa_sidecar = None
     if args.qa:
         from repro.qa import QASidecar, StreamingEvaluator, default_registry
@@ -882,10 +859,12 @@ def _cmd_serve(args) -> int:
     engine = ServeEngine(
         stream,
         workers=args.workers,
-        supervision=SupervisorConfig(timeout=args.timeout, max_retries=args.retries),
         screen=not args.no_screen,
         alpha=args.alpha,
-        fleet=fleet_config,
+        fleet=FleetConfig(
+            heartbeat_interval=args.heartbeat_interval,
+            heartbeat_timeout=args.heartbeat_timeout,
+        ),
         qa=qa_sidecar,
     )
     daemon = ServeDaemon(

@@ -1,7 +1,7 @@
 """Zero-copy output ring: shared-memory slots instead of pickled payloads.
 
 The parallel result paths — :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
-pool workers, fleet members, the serve pool's bulk chunks — used to ship
+pool workers and fleet members (which serve every daemon chunk) — used to ship
 every generated chunk back to the parent as message *payload bytes*:
 pickled into a pipe, copied into the queue buffer, copied back out,
 unpickled.  For large chunks the serialisation round-trip costs more
@@ -58,7 +58,19 @@ from multiprocessing import shared_memory
 from repro import obs
 from repro.errors import SpecificationError
 
-__all__ = ["RingSlotRef", "SharedMemoryRing", "attach_ring", "resolve_start_method"]
+__all__ = [
+    "RING_MIN_BYTES",
+    "RingSlotRef",
+    "SharedMemoryRing",
+    "attach_ring",
+    "resolve_start_method",
+]
+
+#: A payload larger than this crosses in a ring slot.  Up to it,
+#: ``multiprocessing.connection`` sends a pickled message's header and
+#: body in one write, and a slot ref's pickle plus the parent's copy out
+#: cost more than the copy they save.
+RING_MIN_BYTES = 16 * 1024
 
 
 def resolve_start_method(mp_context: str | None) -> str:
@@ -182,10 +194,12 @@ class SharedMemoryRing:
     def resolve(self, obj):
         """Payload resolver hook: refs become bytes, all else passes through.
 
-        Installed on :class:`~repro.robust.supervisor.PartitionSupervisor`
-        so returned payloads are materialised *before* CRC verification —
-        a torn or stale slot write is then indistinguishable from a
-        corrupted transfer and handled by the same retry policy.  Counts
+        The fleet controller resolves every member result through it, and
+        :class:`~repro.robust.supervisor.PartitionSupervisor` installs it
+        as its resolver, so returned payloads are materialised *before*
+        CRC verification — a torn or stale slot write is then
+        indistinguishable from a corrupted transfer and handled by the
+        same retry policy (a receipt strike and a requeue).  Counts
         how many payload bytes travelled through the ring versus through
         the pickled fallback, which is what the zero-copy regression
         tests assert on.

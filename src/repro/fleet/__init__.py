@@ -1,9 +1,8 @@
 """Elastic worker fleet: heartbeat-supervised membership over a transport.
 
-The batch scale-out layers (:mod:`repro.gpu.multigpu`) and the service
-pool (:mod:`repro.serve.engine`) both treat workers as fire-and-forget
-pool jobs: a dead worker is only discovered when its result fails to
-arrive, and recovery is per call.  The paper's multi-GPU measurements
+The batch scale-out layers (:mod:`repro.gpu.multigpu`) treat workers as
+fire-and-forget pool jobs: a dead worker is only discovered when its
+result fails to arrive, and recovery is per call.  The paper's multi-GPU measurements
 (§VI, 2–8 devices) share the same assumption — every device is healthy
 for the whole run.  This package generalises that to *supervised
 membership* so a long-lived deployment survives workers that die, hang,
@@ -31,8 +30,8 @@ or silently degrade:
 
 Everything the controller observes is published through :mod:`repro.obs`
 (`repro_fleet_workers`, `repro_fleet_evictions_total`, ...), and
-:class:`~repro.serve.engine.ServeEngine` can mount a fleet in place of
-its anonymous pool (``repro serve --fleet N``).  See DESIGN.md §13.
+:class:`~repro.serve.engine.ServeEngine` serves every chunk through a
+fleet (``repro serve --workers N``).  See DESIGN.md §13.
 """
 
 from repro.fleet.controller import FleetConfig, FleetController, FleetEvent, WorkerInfo

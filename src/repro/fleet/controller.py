@@ -16,6 +16,8 @@ full of anonymous workers into *supervised membership*:
 * **Receipts**: the controller checks every result's CRC receipt
   (:mod:`repro.robust.supervisor`); mismatches accumulate strikes before
   eviction (one flipped byte is retryable, a bleeding worker is not).
+  A result above :data:`~repro.core.ring.RING_MIN_BYTES` crosses in a
+  shared-memory ring slot leased to its job; smaller ones ship pickled.
   It does not screen: a verified chunk is a pure function of its offset,
   so every peer would return the same bytes.  The one RCT/APT screen on
   a served byte is the service latch (:class:`~repro.serve.engine.HealthState`).
@@ -28,6 +30,11 @@ full of anonymous workers into *supervised membership*:
   stale and dropped.  Because BSRNG output is a pure function of the
   byte offset, a reassigned chunk regenerates bit-identically on any
   healthy peer.
+* **Pipelining**: :meth:`FleetController.submit_range` dispatches
+  without waiting, :meth:`FleetController.collect` waits for (and
+  degrades) a submitted range, and :meth:`FleetController.cancel`
+  abandons one — the serve engine keeps several chunks in flight this
+  way; :meth:`FleetController.read_range` is the one-range case.
 * **Elasticity**: the fleet relaunches evicted members toward its target
   size, scales the target up when the job backlog outgrows the
   membership and back down after a sustained idle period, and — once the
@@ -37,8 +44,12 @@ full of anonymous workers into *supervised membership*:
 All of it is observable through :mod:`repro.obs`:
 ``repro_fleet_workers{state=...}``, ``repro_fleet_evictions_total{reason=...}``,
 ``repro_fleet_lease_reassignments_total``, ``repro_fleet_stale_results_total``,
-``repro_fleet_heartbeats_total``, ``repro_fleet_scale_events_total{direction=...}``
-and the ``repro_fleet_drain_seconds`` histogram.
+``repro_fleet_heartbeats_total``, ``repro_fleet_scale_events_total{direction=...}``,
+``repro_fleet_worker_{jobs,bytes}_total{worker=...}`` (counted here, on
+acceptance) and the ``repro_fleet_drain_seconds`` histogram.  A member's
+own series (its generator's) ride its heartbeat as one delta per
+interval, merged under a ``worker`` label; a member killed by eviction
+or :meth:`FleetController.close` loses at most its last interval.
 
 The controller is deliberately single-brained: one lock guards all
 membership state, and one *pump* at a time moves messages from the
@@ -49,13 +60,14 @@ responsive without dedicating a thread per worker.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro import obs
-from repro.core.ring import SharedMemoryRing
+from repro.core.ring import RING_MIN_BYTES, SharedMemoryRing
 from repro.errors import DeviceFailureError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs import flight
@@ -106,7 +118,7 @@ class FleetConfig:
     chunk_bytes: int = 1 << 16
     max_inflight_per_worker: int = 2  # pipelining depth per member
     max_strikes: int = 2  # CRC receipt failures before eviction
-    max_evictions: int = 16  # relaunch budget; beyond it, degrade inline
+    max_evictions: int = 16  # relaunch budget; beyond it, degrade inline (or fail)
     scale_up_backlog: int = 4  # pending jobs per live worker that adds one
     scale_down_idle_s: float = 30.0  # sustained idle that removes one
     degrade_inline: bool = True
@@ -150,6 +162,7 @@ class WorkerInfo:
     strikes: int = 0
     evicted_reason: str = ""
     inflight: set[int] = field(default_factory=set)  # job ids dispatched to it
+    last_dispatch: int = 0  # dispatch sequence number of its latest job
 
     def to_dict(self, now: float) -> dict:
         """JSON-serialisable form for ``status()`` / ``/v1/status``."""
@@ -222,17 +235,19 @@ class FleetController:
         self.clock = clock
         self._ring: SharedMemoryRing | None = None
         if transport is None:
-            # the local transport returns payloads through a shared-memory
-            # ring; a slot is leased per *dispatched* job, so the pool only
-            # needs to cover the maximum in-flight depth; overflow jobs
-            # (and injected transports) ship their payload bytes.  The
-            # ring's backing follows the members' start method (a fork
-            # ring needs no tracker) and exists before any member forks
-            self._ring = SharedMemoryRing.try_create(
-                self.config.chunk_bytes,
-                self.config.max_workers * self.config.max_inflight_per_worker,
-                self.config.mp_context,
-            )
+            # the local transport returns payloads above RING_MIN_BYTES
+            # through a shared-memory ring; a slot is leased per
+            # *dispatched* job, so the pool only needs to cover the
+            # maximum in-flight depth; smaller and overflow jobs (and
+            # injected transports) ship their payload bytes.  The ring's
+            # backing follows the members' start method (a fork ring
+            # needs no tracker) and exists before any member forks
+            if self.config.chunk_bytes > RING_MIN_BYTES:
+                self._ring = SharedMemoryRing.try_create(
+                    self.config.chunk_bytes,
+                    self.config.max_workers * self.config.max_inflight_per_worker,
+                    self.config.mp_context,
+                )
             spec = WorkerSpec(
                 stream=self.stream,
                 heartbeat_interval=self.config.heartbeat_interval,
@@ -261,12 +276,20 @@ class FleetController:
         slots = self._ring.slots if self._ring is not None else 0
         self._free_slots: deque[int] = deque(range(slots))
         self._job_slots: dict[int, int] = {}
+        # cancelled jobs still running on a member: job id -> owner.  The
+        # owner's late result (or its eviction) frees the job's slot
+        self._cancelled: dict[int, int] = {}
 
         self._next_worker_id = 0
+        self._dispatch_seq = itertools.count(1)
         self._idle_since: float | None = None
         self.events: list[FleetEvent] = []
         self.evictions = 0
+        self._budget_from = 0  # evictions before the current relaunch budget
+        self.evictions_by_reason: dict[str, int] = dict.fromkeys(EVICTION_REASONS, 0)
         self.reassignments = 0
+        self.requeues = 0
+        self.receipt_failures = 0
         self.stale_results = 0
         self.scale_ups = 0
         self.scale_downs = 0
@@ -394,17 +417,31 @@ class FleetController:
                 member.last_heartbeat = now
                 member.heartbeats += 1
                 obs.inc("repro_fleet_heartbeats_total")
+                self._merge_metrics(msg)
             return
         if msg.kind == "bye":
             if member is not None and member.state == "draining":
                 member.state = "drained"
+                self._merge_metrics(msg)
                 self._publish_membership()
             return
         if msg.kind == "result":
             self._handle_result(msg, member, now)
 
+    @staticmethod
+    def _merge_metrics(msg: Message) -> None:
+        """Fold a member's metric delta (heartbeat or bye) into the registry."""
+        if msg.metrics and obs.metrics_enabled():
+            obs.registry().merge(msg.metrics, extra_labels={"worker": str(msg.worker_id)})
+
     # -- results: receipts, at-most-once acceptance -----------------------------
     def _handle_result(self, msg: Message, member: WorkerInfo | None, now: float) -> None:
+        if self._cancelled.get(msg.job_id) == msg.worker_id:
+            # the owner of a cancelled job is done writing its slot
+            del self._cancelled[msg.job_id]
+            self._release_slot(msg.job_id)
+            if member is not None:
+                member.inflight.discard(msg.job_id)
         entry = self._assigned.get(msg.job_id)
         stale = (
             msg.job_id in self._done
@@ -452,9 +489,9 @@ class FleetController:
         self.leases.release(job.job_id)
         obs.inc("repro_fleet_jobs_total")
         obs.inc("repro_fleet_bytes_total", job.length)
+        obs.inc("repro_fleet_worker_jobs_total", worker=str(member.worker_id))
+        obs.inc("repro_fleet_worker_bytes_total", job.length, worker=str(member.worker_id))
         obs.observe("repro_fleet_chunk_seconds", max(now - dispatched_at, 0.0))
-        if msg.metrics and obs.metrics_enabled():
-            obs.registry().merge(msg.metrics, extra_labels={"worker": str(member.worker_id)})
         if msg.spans:
             tracer = obs.active_tracer()
             if tracer is not None:
@@ -462,6 +499,7 @@ class FleetController:
 
     def _strike(self, member: WorkerInfo, job: ChunkJob, now: float, why: str) -> None:
         member.strikes += 1
+        self.receipt_failures += 1
         obs.inc("repro_fleet_receipt_failures_total")
         flight.record(
             "crc-strike",
@@ -479,6 +517,7 @@ class FleetController:
         """Put a job back at the head of the queue, clearing its assignment."""
         self._requeue_clear(job)
         self._pending.appendleft(job)
+        self.requeues += 1
 
     # -- liveness and eviction ----------------------------------------------------
     def _check_liveness(self, now: float) -> None:
@@ -503,6 +542,7 @@ class FleetController:
         member.state = "evicted"
         member.evicted_reason = reason
         self.evictions += 1
+        self.evictions_by_reason[reason] += 1
         obs.inc("repro_fleet_evictions_total", reason=reason)
         self.events.append(FleetEvent("evict", member.worker_id, reason, now))
         flight.record(
@@ -513,15 +553,20 @@ class FleetController:
             inflight=sorted(member.inflight),
         )
         flight.dump("eviction")
-        # reassign every inflight lease: back to the queue head so a
-        # healthy peer regenerates the identical bytes
-        for job_id in sorted(member.inflight):
+        # reassign every inflight lease: back to the queue head (oldest
+        # first) so a healthy peer regenerates the identical bytes.  Its
+        # slot, like a cancelled job's, is safe to recycle: the carrier
+        # is killed below, before any reassignment can hand the slot to
+        # a new writer
+        for job_id in sorted(member.inflight, reverse=True):
+            if self._cancelled.get(job_id) == member.worker_id:
+                del self._cancelled[job_id]
+                self._release_slot(job_id)
+                continue
             entry = self._assigned.get(job_id)
             if entry is None:
                 continue
             job, _, dispatched_at = entry
-            # safe to recycle its slot: the carrier is killed below,
-            # before any reassignment can hand the slot to a new writer
             self._requeue(job)
             self.reassignments += 1
             obs.inc("repro_fleet_lease_reassignments_total")
@@ -584,7 +629,7 @@ class FleetController:
                 self._publish_membership()
                 break
         # relaunch toward target, unless the eviction budget is spent
-        while self._present() < self.target and self.evictions <= self.config.max_evictions:
+        while self._present() < self.target and not self._budget_spent():
             self._launch(now)
         self._assign(now)
 
@@ -599,16 +644,19 @@ class FleetController:
             info.state = "evicted"
             info.evicted_reason = "crash"
             self.evictions += 1
+            self.evictions_by_reason["crash"] += 1
             obs.inc("repro_fleet_evictions_total", reason="crash")
             self.events.append(FleetEvent("evict", worker_id, f"launch failed: {exc}", now))
         self._publish_membership()
 
     def _lease_slot(self, job: ChunkJob) -> ChunkJob:
-        """Attach a ring slot for the job's result (``None`` when there
-        is no ring or the pool is momentarily dry — the worker then
-        ships payload bytes).  Re-dispatch always re-leases, so a
-        requeued job never carries a slot it no longer owns."""
-        slot = self._free_slots.popleft() if self._ring is not None and self._free_slots else None
+        """Attach a ring slot for the job's result (``None`` when the job
+        is at most :data:`~repro.core.ring.RING_MIN_BYTES`, there is no
+        ring or the pool is momentarily dry — the worker then ships
+        payload bytes).  Re-dispatch always re-leases, so a requeued job
+        never carries a slot it no longer owns."""
+        eligible = self._ring is not None and job.length > RING_MIN_BYTES
+        slot = self._free_slots.popleft() if eligible and self._free_slots else None
         if slot is not None:
             self._job_slots[job.job_id] = slot
         if job.ring_slot == slot:
@@ -636,7 +684,10 @@ class FleetController:
             ]
             if not candidates:
                 return
-            member = min(candidates, key=lambda m: (len(m.inflight), m.worker_id))
+            # least loaded first; ties go round-robin, so chunks submitted
+            # one by one spread over idle members even when each finishes
+            # before the next arrives
+            member = min(candidates, key=lambda m: (len(m.inflight), m.last_dispatch))
             job = self._lease_slot(self._pending.popleft())
             try:
                 self.transport.send_job(member.worker_id, job)
@@ -647,11 +698,15 @@ class FleetController:
                 continue
             self._assigned[job.job_id] = (job, member.worker_id, now)
             member.inflight.add(job.job_id)
+            member.last_dispatch = next(self._dispatch_seq)
 
     # -- degraded mode -------------------------------------------------------------
+    def _budget_spent(self) -> bool:
+        return self.evictions - self._budget_from > self.config.max_evictions
+
     def _fleet_exhausted(self) -> bool:
         """No member is present and the relaunch budget is spent."""
-        return self._present() == 0 and self.evictions > self.config.max_evictions
+        return self._present() == 0 and self._budget_spent()
 
     def _inline_source(self) -> RangeSource:
         if self._inline is None:
@@ -664,7 +719,7 @@ class FleetController:
 
         Each job is backed by a fresh lease id (never reissued), so
         acceptance bookkeeping is exact.  Returns without waiting; pair
-        with :meth:`try_collect` (or use :meth:`read_range`).
+        with :meth:`collect` (or :meth:`cancel`), or use :meth:`read_range`.
         """
         if n < 0 or offset < 0:
             raise SpecificationError("need offset >= 0 and n >= 0")
@@ -696,23 +751,15 @@ class FleetController:
                 return None
             return b"".join(self._results.pop(job.job_id) for job in jobs)
 
-    def read_range(self, offset: int, n: int, timeout: float | None = None) -> bytes:
-        """Generate stream bytes ``[offset, offset + n)`` through the fleet.
+    def collect(self, jobs: list[ChunkJob], timeout: float | None = None) -> bytes:
+        """The merged bytes of submitted *jobs*, pumping while waiting.
 
-        Splits the range into chunk jobs (each backed by a never-reissued
-        lease id), dispatches them, pumps while waiting, and joins the
-        results in order.  Survives any number of evictions up to the
-        budget; beyond it, finishes inline (when ``degrade_inline``) so
+        Survives any number of evictions up to the budget; beyond it,
+        finishes the missing jobs inline (when ``degrade_inline``) so
         the caller never sees the fleet's losses — only, perhaps, their
-        latency.
+        latency.  Raises :class:`~repro.errors.DeviceFailureError` when
+        the fleet is exhausted and may not degrade, or *timeout* passes.
         """
-        if n == 0:
-            return b""
-        with span("fleet.read_range", offset=offset, n=n):
-            return self._read_range(offset, n, timeout)
-
-    def _read_range(self, offset: int, n: int, timeout: float | None) -> bytes:
-        jobs = self.submit_range(offset, n)
         deadline = None if timeout is None else self.clock() + timeout
         period = min(self.config.heartbeat_interval / 2.0, 0.05)
         while True:
@@ -721,47 +768,86 @@ class FleetController:
                 if merged is not None:
                     return merged
                 if self._fleet_exhausted():
-                    missing = [
-                        job
-                        for job in jobs
-                        if job.job_id not in self._results and job.job_id not in self._done
-                    ]
-                    if not self.config.degrade_inline:
-                        raise DeviceFailureError(
-                            f"fleet exhausted after {self.evictions} evictions "
-                            f"({len(missing)} chunks unserved)"
-                        )
-                    for job in missing:
-                        # claim each lease inline before generating, so a
-                        # straggler's late result is stale, not a duplicate
-                        self._pending = deque(
-                            j for j in self._pending if j.job_id != job.job_id
-                        )
-                        self._requeue_clear(job)
-                        self._done.add(job.job_id)
-                        self.leases.release(job.job_id)
-                    if missing:
-                        self.degraded_chunks += len(missing)
-                        obs.inc("repro_fleet_degraded_chunks_total", len(missing))
-                        self.events.append(
-                            FleetEvent(
-                                "degrade", -1, f"{len(missing)} chunks inline", self.clock()
-                            )
-                        )
-                    source = self._inline_source()
-                    for job in missing:
-                        data = source.read_range(job.offset, job.length)
-                        with self._lock:
-                            self._results[job.job_id] = data
+                    self._degrade(jobs)
                     continue
             if deadline is not None and self.clock() > deadline:
+                n = sum(job.length for job in jobs)
                 raise DeviceFailureError(
-                    f"fleet did not serve {n} bytes at {offset} within {timeout}s"
+                    f"fleet did not serve {n} bytes at {jobs[0].offset} within {timeout}s"
                 )
             self.pump(period)
 
+    def _degrade(self, jobs: list[ChunkJob]) -> None:
+        """Generate the unserved *jobs* inline (the caller holds the lock).
+
+        Without ``degrade_inline`` the range fails instead: all of
+        *jobs* are cancelled, and relaunching gets a fresh budget, so the
+        exhaustion costs the range it stranded and a later range is
+        served by new members.
+        """
+        missing = [
+            job
+            for job in jobs
+            if job.job_id not in self._results and job.job_id not in self._done
+        ]
+        if not self.config.degrade_inline:
+            self.cancel(jobs)
+            self._budget_from = self.evictions
+            raise DeviceFailureError(
+                f"fleet exhausted after {self.evictions} evictions "
+                f"({len(missing)} chunks unserved)"
+            )
+        if not missing:
+            return
+        ids = {job.job_id for job in missing}
+        self._pending = deque(j for j in self._pending if j.job_id not in ids)
+        for job in missing:
+            # claim each lease inline before generating, so a
+            # straggler's late result is stale, not a duplicate
+            self._requeue_clear(job)
+            self._done.add(job.job_id)
+            self.leases.release(job.job_id)
+        self.degraded_chunks += len(missing)
+        obs.inc("repro_fleet_degraded_chunks_total", len(missing))
+        self.events.append(
+            FleetEvent("degrade", -1, f"{len(missing)} chunks inline", self.clock())
+        )
+        source = self._inline_source()
+        for job in missing:
+            self._results[job.job_id] = source.read_range(job.offset, job.length)
+
+    def cancel(self, jobs: list[ChunkJob]) -> None:
+        """Abandon submitted *jobs*: none of their bytes is kept.
+
+        A pending job leaves the queue; an assigned one stays on its
+        member, whose late result is dropped as stale — and its ring
+        slot is freed only when that result arrives or the member is
+        evicted, so a live writer never shares its slot with a later
+        job.  An accepted result not yet collected is discarded.
+        """
+        with self._lock:
+            ids = {job.job_id for job in jobs}
+            self._pending = deque(j for j in self._pending if j.job_id not in ids)
+            for job in jobs:
+                if job.job_id in self._done:
+                    self._results.pop(job.job_id, None)
+                    continue
+                self._done.add(job.job_id)  # any later result is stale
+                self.leases.release(job.job_id)
+                entry = self._assigned.pop(job.job_id, None)
+                if entry is not None:
+                    self._cancelled[job.job_id] = entry[1]
+
+    def read_range(self, offset: int, n: int, timeout: float | None = None) -> bytes:
+        """Generate stream bytes ``[offset, offset + n)`` through the fleet:
+        :meth:`submit_range` then :meth:`collect`."""
+        if n == 0:
+            return b""
+        with span("fleet.read_range", offset=offset, n=n):
+            return self.collect(self.submit_range(offset, n), timeout)
+
     def _requeue_clear(self, job: ChunkJob) -> None:
-        """Drop a job's assignment without requeueing (inline takeover)."""
+        """Drop a job's assignment and free its slot (requeue or inline takeover)."""
         entry = self._assigned.pop(job.job_id, None)
         if entry is not None:
             _, owner, _ = entry
@@ -796,7 +882,10 @@ class FleetController:
                 ],
                 "counters": {
                     "evictions": self.evictions,
+                    "evictions_by_reason": dict(self.evictions_by_reason),
                     "reassignments": self.reassignments,
+                    "requeues": self.requeues,
+                    "receipt_failures": self.receipt_failures,
                     "stale_results": self.stale_results,
                     "scale_ups": self.scale_ups,
                     "scale_downs": self.scale_downs,

@@ -14,7 +14,7 @@ local ``multiprocessing`` process (the same "a device is a worker
 process" stance as :mod:`repro.gpu.multigpu`).
 
 Message payloads are plain picklable values (``bytes`` payloads, int
-CRCs, plain-dict metric snapshots), so the local transport works under
+CRCs, plain-dict metric deltas on heartbeats), so the local transport works under
 ``spawn`` as well as ``fork`` and a remote transport can serialise them
 without caring what they mean.
 """
@@ -79,7 +79,7 @@ class Message:
     job_id: int = -1  # result messages: the ChunkJob.job_id
     payload: bytes = b""  # result messages: the generated chunk
     crc: int | None = None  # result messages: worker-side payload CRC
-    metrics: dict | None = None  # result messages: worker registry snapshot
+    metrics: dict | None = None  # heartbeat/bye: the member's metric delta
     spans: dict | None = None  # result messages: worker tracer snapshot
     detail: str = ""  # free-form (bye reason, error text)
     #: Result parked in a shared-memory ring slot instead of ``payload``

@@ -3,16 +3,20 @@
 Where the pool workers of :mod:`repro.gpu.multigpu` live for exactly one
 partition (``maxtasksperchild=1``), a fleet worker is a *member*: it
 registers once, heartbeats on the controller's interval, and serves
-counter-space chunk jobs until told to stop, killed, or evicted.  Each
-payload is drawn by the same stream-range body as a served pool chunk
-or a multi-device partition (:func:`~repro.serve.engine.range_attempt`)
-inside the shared :func:`~repro.robust.supervisor.worker_attempt` shell
-— fault-plan hooks keyed by ``(worker_id, job_index)``, a scoped
-metrics registry shipped back with every result, a CRC receipt taken
-before any injected corruption, the payload parked in the
-job's shared-memory ring slot — so the controller's receipt
-verification sees a bleeding transfer exactly the way the batch
-supervisor would.
+counter-space chunk jobs until told to stop, killed, or evicted.  Every
+chunk the serve daemon hands out is generated here.  Each payload is
+drawn by the same stream-range body as a multi-device partition
+(:func:`~repro.serve.engine.range_attempt`) inside the shared
+:func:`~repro.robust.supervisor.attempt_shell` — fault-plan hooks keyed
+by ``(worker_id, job_index)``, a CRC receipt taken before any injected
+corruption, the payload parked in the job's shared-memory ring slot
+when it has one — so the controller's receipt verification sees a
+bleeding transfer exactly the way the batch supervisor would.
+
+A result carries no metrics.  The member collects into one registry of
+its own and ships it as a delta (snapshot, then clear) with each
+heartbeat and with its ``bye``: one merge per interval in the parent,
+not one per chunk.
 
 Failure modelling is deliberately honest:
 
@@ -40,7 +44,6 @@ from repro import obs
 from repro.core.ring import RingSlotRef
 from repro.obs import flight
 from repro.robust.faults import FaultPlan
-from repro.robust.supervisor import worker_attempt
 from repro.serve.engine import RangeSource, range_attempt
 from repro.fleet.transport import ChunkJob, Message, WorkerSpec
 
@@ -62,9 +65,10 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    # a fork-inherited parent registry must not double-count; each job's
-    # metrics are collected in worker_attempt's scoped registry instead
-    obs.disable_metrics()
+    # a fork-inherited parent registry must not double-count, and a
+    # fork-inherited tracer must not record: the member collects into a
+    # fresh registry of its own (shipped as heartbeat deltas) and its
+    # spans per job in attempt_shell's collector
     obs.disable_tracing()
     # a fork also inherits the daemon's flight recorder (role and ring);
     # re-enable fresh so this member's black box carries its own story
@@ -72,7 +76,8 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
         rec = flight.recorder()
         flight.enable(rec.directory, role=f"fleet-worker-{worker_id}")
     try:
-        _worker_loop(worker_id, spec, conn)
+        with obs.scoped() as reg:
+            _worker_loop(worker_id, spec, conn, reg)
     except BaseException as exc:
         # the black box is the only record a crashed member leaves —
         # the message plane just sees a dead carrier
@@ -81,7 +86,13 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
         raise
 
 
-def _worker_loop(worker_id: int, spec: WorkerSpec, conn) -> None:
+def _delta(reg) -> dict | None:
+    """The member's metrics since the last delta, or ``None`` if none."""
+    snap = reg.drain()
+    return snap if snap["metrics"] else None
+
+
+def _worker_loop(worker_id: int, spec: WorkerSpec, conn, reg) -> None:
     plan = FaultPlan.resolve(spec.plan_json)
     source = RangeSource(spec.stream)
     conn.send(Message("register", worker_id))
@@ -94,29 +105,24 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, conn) -> None:
         now = time.monotonic()
         silenced = plan is not None and plan.silences(worker_id, job_index)
         if not silenced and now - last_heartbeat >= spec.heartbeat_interval:
-            conn.send(Message("heartbeat", worker_id))
+            conn.send(Message("heartbeat", worker_id, metrics=_delta(reg)))
             last_heartbeat = now
         if not conn.poll(poll_s):
             continue
         job: ChunkJob | None = conn.recv()
         if job is None:
-            conn.send(Message("bye", worker_id, detail="drained"))
+            conn.send(Message("bye", worker_id, detail="drained", metrics=_delta(reg)))
             return
         flight.record("job-start", worker=worker_id, job=job.job_id, offset=job.offset)
-
-        def account(_wall: float) -> None:
-            obs.inc("repro_fleet_worker_jobs_total", 1)
-            obs.inc("repro_fleet_worker_bytes_total", job.length)
-
         # crash faults raise out of here and kill the process — the
         # controller must discover a dead carrier, not read an excuse.
-        # Jobs dispatched without a ring slot (no shared memory, or the
-        # slot pool momentarily dry) ship their payload bytes through the
-        # pipe instead.
+        # Jobs dispatched without a ring slot (small jobs, no shared
+        # memory, or the slot pool momentarily dry) ship their payload
+        # bytes through the pipe instead.
         ring = (*spec.ring, job.ring_slot) if spec.ring and job.ring_slot is not None else None
-        payload, crc, metrics, spans = range_attempt(
+        payload, crc, spans = range_attempt(
             source, worker_id, job_index, job.offset, job.length, plan,
-            shell=worker_attempt, ring=ring, account=account, trace=job.trace,
+            ring=ring, trace=job.trace,
             span_name="fleet.worker_chunk", process_name=f"fleet-worker-{worker_id}",
         )
         ref = payload if isinstance(payload, RingSlotRef) else None
@@ -127,7 +133,6 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, conn) -> None:
                 job_id=job.job_id,
                 payload=b"" if ref is not None else payload,
                 crc=crc,
-                metrics=metrics,
                 spans=spans,
                 ref=ref,
             )

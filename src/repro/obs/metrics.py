@@ -270,6 +270,14 @@ class MetricsRegistry:
             out["metrics"].append(entry)
         return out
 
+    def drain(self) -> dict:
+        """:meth:`snapshot`, then :meth:`clear`, atomically: the delta
+        since the last drain (a fleet member ships one per heartbeat)."""
+        with self._lock:
+            snap = self.snapshot()
+            self._metrics.clear()
+        return snap
+
     def merge(self, snapshot: dict, extra_labels: dict | None = None) -> None:
         """Fold a :meth:`snapshot` into this registry.
 

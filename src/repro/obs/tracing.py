@@ -343,7 +343,7 @@ class DetachedSpan:
     pipelined serve chunk is dispatched on the event loop and accepted
     later on an executor thread, so its span is opened and closed by
     hand: the context is minted at creation (a child of the caller's
-    current context), work started meanwhile — a pool job carrying
+    current context), work started meanwhile — a fleet job carrying
     ``span.context.to_wire()`` — links to it before it ends, and
     :meth:`finish` records it.  Overlapping detached spans are normal.
     """

@@ -91,9 +91,10 @@ def attempt_shell(
     those faults, which keep an ndarray payload's dtype and shape.
 
     ``produce`` returns ``bytes`` or an ndarray; the receipt is always
-    one cold :func:`payload_crc` pass over it.  No metrics scope: the
-    serve pool calls this directly and ships none; every other worker
-    goes through :func:`worker_attempt`.
+    one cold :func:`payload_crc` pass over it.  No metrics scope: a
+    fleet member calls this directly (it collects into one registry of
+    its own and ships it with its heartbeats); every other worker goes
+    through :func:`worker_attempt`.
     """
     if plan is not None:
         plan.pre_generate(partition, attempt)
@@ -128,8 +129,7 @@ def worker_attempt(
 ) -> tuple[Any, int, dict, dict | None]:
     """:func:`attempt_shell` in a fresh :func:`repro.obs.scoped` registry
     (spawn-safe: made here, never inherited) → ``(result, crc, metrics,
-    spans)``, the one result shape :class:`PartitionSupervisor` and the
-    fleet controller consume."""
+    spans)``, the one result shape :class:`PartitionSupervisor` consumes."""
     with obs.scoped() as reg:
         payload, crc, spans = attempt_shell(partition, attempt, plan, produce, **shell_args)
         metrics = reg.snapshot()

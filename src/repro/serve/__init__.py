@@ -5,10 +5,11 @@ The subsystem has three layers (see ``DESIGN.md`` §12):
 * :mod:`repro.serve.leases` — counter-space allocation: every client
   gets a deterministic, never-reissued ``[offset, offset+length)``
   slice of the one logical stream, journaled for crash-safe resume.
-* :mod:`repro.serve.engine` — a persistent supervised worker pool that
-  turns ``(offset, n)`` into bytes: per-chunk timeout/retry/CRC policy
-  from :mod:`repro.robust.supervisor`, SP 800-90B output screening from
-  :mod:`repro.robust.health`, inline degrade when the pool is exhausted.
+* :mod:`repro.serve.engine` — turns ``(offset, n)`` into bytes through a
+  heartbeat-supervised worker fleet (:mod:`repro.fleet`: CRC receipts,
+  liveness eviction, lease reassignment, inline degrade once the
+  eviction budget is spent), then SP 800-90B output screening from
+  :mod:`repro.robust.health`.
 * :mod:`repro.serve.daemon` — the asyncio HTTP front end: streaming
   responses with bounded-queue backpressure, ``/healthz`` gating,
   ``/metrics`` exposition, graceful SIGTERM drain.

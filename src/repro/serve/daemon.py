@@ -29,22 +29,22 @@ one :class:`~repro.serve.engine.ServeEngine` and one
 
 **Backpressure.**  ``/v1/bytes`` and ``/v1/stream`` share one ordered
 chunk pipeline: up to ``queue_depth`` chunks of a response are in flight
-in the worker pool while this process verifies, screens and writes
+in the worker fleet while this process verifies, screens and writes
 earlier ones, strictly in stream order, and each chunk is written
 through ``writer.drain()`` (socket watermarks) before the next is
 collected.  A slow reader therefore stalls its own pipeline at most
 ``queue_depth × chunk`` bytes ahead of what the socket accepted; it
 never grows daemon memory and never slows other clients, whose
 pipelines run independently.  A chunk that still fails after the head
-went out (retries exhausted, no degradation) cancels the rest and closes
+went out (fleet exhausted, no degradation) cancels the rest and closes
 the connection: the client sees a truncated body, never a second status
 line.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
 let in-flight requests finish (open-ended streams end at the next chunk
 boundary with a clean chunked terminator), and only cancel stragglers
-after ``drain_grace`` seconds.  Exit is 0 and the worker pool is torn
-down with ``terminate()`` — no orphans.
+after ``drain_grace`` seconds.  Exit is 0 and the fleet's members are
+torn down with ``terminate()`` — no orphans.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class ServeDaemon:
         self.bound_port: int | None = None
         self.started = threading.Event()  # set once the socket is listening
         self._t0 = time.monotonic()
-        self._chunk_seq = itertools.count()  # FaultPlan partition key space
+        self._chunk_seq = itertools.count()  # serve.chunk span numbering
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._requests_total = 0
@@ -193,7 +193,7 @@ class ServeDaemon:
         ``bound_port`` is known) — the CLI uses it to print a parseable
         readiness line for supervisors and smoke tests.
         """
-        # the pool (and its ring, slots of one chunk) forks before any
+        # the fleet (and its ring, slots of one chunk) forks before any
         # request thread exists
         self.engine.start(chunk_bytes=self.config.chunk_bytes)
         obs.enable_metrics()
@@ -419,13 +419,13 @@ class ServeDaemon:
         *ranges* yields ``(offset, n, lease_id)``; a non-``None``
         ``lease_id`` is a one-chunk lease released once its chunk is
         collected or cancelled.  Up to ``queue_depth`` chunks are in
-        flight in the pool; each is collected — CRC-checked, screened,
-        QA-observed, retried in place — on an executor thread, strictly
-        in order.  The consumer's ``writer.drain()`` between yields is the
-        backpressure: a stalled reader stops the pipeline at most
-        ``queue_depth`` chunks ahead of what it handed the socket.  When
-        the consumer stops (finished, failed, disconnected), chunks still
-        in flight are cancelled.
+        flight in the fleet; each is collected — its receipt checked and
+        any requeue done by the fleet, then screened and QA-observed — on
+        an executor thread, strictly in order.  The consumer's
+        ``writer.drain()`` between yields is the backpressure: a stalled
+        reader stops the pipeline at most ``queue_depth`` chunks ahead of
+        what it handed the socket.  When the consumer stops (finished,
+        failed, disconnected), chunks still in flight are cancelled.
 
         The trace context is captured *here*, on the loop, and passed as
         an explicit argument: contextvars do not propagate into

@@ -15,7 +15,6 @@ import time
 from repro.fleet import FleetConfig, FleetController
 from repro.robust.faults import Fault, FaultPlan
 from repro.robust.health import HealthScreen
-from repro.robust.supervisor import SupervisorConfig
 from repro.serve.engine import ServeEngine, StreamConfig
 
 STREAM = StreamConfig(algorithm="trivium", seed=9, lanes=64)
@@ -191,19 +190,15 @@ class TestOneChannelPerMember:
 
 class TestServeEngineFleet:
     def test_engine_routes_through_fleet(self):
-        engine = ServeEngine(
-            STREAM,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=1),
-            fleet=make_config(),
-        )
-        engine.start()
+        engine = ServeEngine(STREAM, fleet=make_config())
+        engine.start(chunk_bytes=4096)
         try:
             data = engine.generate_range(0, 16384)
             status = engine.status()
         finally:
             engine.close()
         assert data == reference(16384)
-        assert status["workers"] is None
+        assert status["workers"] == 2
         assert status["fleet"] is not None
         assert status["fleet"]["counters"]["jobs_completed"] >= 1
         assert engine.stats.chunks_ok == 1
@@ -213,12 +208,8 @@ class TestServeEngineFleet:
         # the deployment way, through REPRO_FAULT_PLAN
         plan = FaultPlan(faults=(Fault("crash", partition=0, attempt=0),), seed=8)
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        engine = ServeEngine(
-            STREAM,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=1),
-            fleet=make_config(),
-        )
-        engine.start()
+        engine = ServeEngine(STREAM, fleet=make_config())
+        engine.start(chunk_bytes=4096)
         try:
             data = engine.generate_range(0, 16384)
         finally:

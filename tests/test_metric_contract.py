@@ -10,11 +10,11 @@ a series.
 from __future__ import annotations
 
 from repro import obs
-from repro.fleet import Message
+from repro.fleet import FleetConfig, Message
 from repro.gpu.multigpu import MultiDeviceGenerator
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan, StuckBSRNG
 from repro.robust.health import HealthMonitoredBSRNG
-from repro.robust.supervisor import SupervisorConfig, payload_crc
+from repro.robust.supervisor import payload_crc
 from repro.serve.engine import ServeEngine, StreamConfig
 from tests.test_fleet import make_fleet, register_all, result_msg, stream_bytes
 
@@ -34,33 +34,52 @@ def series(reg) -> set[tuple[str, tuple[str, ...]]]:
     }
 
 
-SERVE_POOL = {
-    ("repro_serve_chunk_failures_total", ("kind",)),
-    ("repro_serve_chunk_retries_total", ()),
+#: The daemon's engine over a one-member fleet, crash and receipt
+#: failure included.  A long heartbeat interval keeps the member's own
+#: series (its generator's, shipped as heartbeat deltas) out of the
+#: scope: these are the series the daemon process records itself.
+SERVE = {
+    ("repro_fleet_bytes_total", ()),
+    ("repro_fleet_chunk_seconds", ()),
+    ("repro_fleet_drain_seconds", ()),
+    ("repro_fleet_evictions_total", ("reason",)),
+    ("repro_fleet_jobs_total", ()),
+    ("repro_fleet_lease_reassignments_total", ()),
+    ("repro_fleet_receipt_failures_total", ()),
+    ("repro_fleet_target_workers", ()),
+    ("repro_fleet_worker_bytes_total", ("worker",)),
+    ("repro_fleet_worker_jobs_total", ("worker",)),
+    ("repro_fleet_workers", ("state",)),
+    ("repro_serve_active_leases", ()),
     ("repro_serve_healthy", ()),
-    ("repro_serve_pool_workers", ()),
-    ("repro_serve_worker_exceptions_total", ("exception",)),
+    ("repro_serve_lease_high_water_bytes", ()),
+    ("repro_serve_leases_total", ()),
 }
 
 
-#: A bulk chunk (above 16 KiB) returns through the pool's ring.
-SERVE_POOL_RING = SERVE_POOL | {
+#: A 4 KiB chunk ships pickled; a bulk chunk (above 16 KiB) returns
+#: through the fleet's ring.
+SERVE_SMALL = SERVE | {("repro_result_pickled_payload_bytes_total", ())}
+SERVE_RING = SERVE | {
     ("repro_ring_payload_bytes_total", ()),
     ("repro_ring_slot_writes_total", ()),
 }
 
 
 def test_serve_pool_series(monkeypatch):
+    """The daemon's worker pool is its fleet: the engine's series."""
+    # member 0 crashes on its first job; its replacement, member 1,
+    # corrupts its first (the requeued chunk 0) after the receipt
     plan = FaultPlan((Fault("crash", 0, 0), Fault("corrupt", 1, 0)), seed=3)
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-    for chunk, expected in ((4096, SERVE_POOL), (65536, SERVE_POOL_RING)):
+    for chunk, expected in ((4096, SERVE_SMALL), (65536, SERVE_RING)):
         engine = ServeEngine(
             StreamConfig(algorithm="trivium", seed=7, lanes=256),
             workers=1,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0),
+            fleet=FleetConfig(heartbeat_interval=60.0, heartbeat_timeout=120.0),
         )
         with obs.scoped() as reg:
-            engine.start()
+            engine.start(chunk_bytes=chunk)
             try:
                 for chunk_id in range(2):
                     engine.generate_range(chunk_id * chunk, chunk, chunk_id=chunk_id)
@@ -77,6 +96,8 @@ FLEET = {
     ("repro_fleet_jobs_total", ()),
     ("repro_fleet_receipt_failures_total", ()),
     ("repro_fleet_target_workers", ()),
+    ("repro_fleet_worker_bytes_total", ("worker",)),
+    ("repro_fleet_worker_jobs_total", ("worker",)),
     ("repro_fleet_workers", ("state",)),
     ("repro_result_pickled_payload_bytes_total", ()),
     ("repro_serve_active_leases", ()),

@@ -18,7 +18,6 @@ from repro.nist.result import TestResult
 from repro.qa import QAPlugin, QASidecar, StreamingEvaluator, default_registry
 from repro.qa.plugin_api import PluginResult
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
-from repro.robust.supervisor import SupervisorConfig
 from repro.serve import ServeEngine, StreamConfig
 
 STREAM = StreamConfig(algorithm="mickey2", seed=99, lanes=256)
@@ -74,7 +73,6 @@ class TestEngineIntegration:
             workers=1,
             screen=False,
             qa=sidecar,
-            supervision=SupervisorConfig(timeout=60.0, max_retries=2),
         )
         engine.start()
         try:

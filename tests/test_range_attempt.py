@@ -1,14 +1,16 @@
 """The one stream-range body: one cold CRC receipt and faults in every worker.
 
-A served pool chunk, a fleet lease and a multi-device partition all draw
-through :func:`repro.serve.engine.range_attempt`.  These tests pin what
-that buys: every attempt takes exactly one cold ``payload_crc`` pass,
-after any ``bias`` fault and before the post-generation faults, and a
-``bias`` plan reaches the fleet and the multi-device workers, not only
-the serve pool — masked bytes that still verify clean.
+A fleet lease (every served chunk) and a multi-device partition both
+draw through :func:`repro.serve.engine.range_attempt`.  These tests pin
+what that buys: every attempt takes exactly one cold ``payload_crc``
+pass, after any ``bias`` fault and before the post-generation faults,
+and a ``bias`` plan reaches the fleet and the multi-device workers
+alike — masked bytes that still verify clean.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -92,20 +94,28 @@ def fleet_config(**overrides) -> FleetConfig:
 class TestFleetWorkers:
     def test_every_job_takes_one_cold_crc(self, monkeypatch):
         counting_crc(monkeypatch)  # forked members inherit the patch
+
+        def passes(reg) -> int:
+            return sum(
+                entry["value"]
+                for entry in reg.snapshot()["metrics"]
+                if entry["name"] == "shell_crc_passes_total"
+            )
+
         with obs.scoped() as reg:
             with FleetController(STREAM, fleet_config(mp_context="fork")) as ctrl:
                 data = ctrl.read_range(0, 65536, timeout=120)
+                # members ship their series as heartbeat deltas: wait
+                # for every member's delta covering its last job
+                deadline = time.monotonic() + 30.0
+                while passes(reg) < 16 and time.monotonic() < deadline:
+                    ctrl.pump(0.05)
         assert data == reference(65536)
-        passes = sum(
-            entry["value"]
-            for entry in reg.snapshot()["metrics"]
-            if entry["name"] == "shell_crc_passes_total"
-        )
-        assert passes == 16
+        assert passes(reg) == 16
 
     def test_bias_masks_fleet_bytes_with_zero_crc_rejects(self):
-        # the bias must pass every transfer-level defence, exactly as on
-        # the serve pool; the fleet serves it and evicts no one
+        # the bias must pass every transfer-level defence: the fleet
+        # serves it and evicts no one
         with obs.scoped() as reg:
             with FleetController(STREAM, fleet_config(), fault_plan=BIAS) as ctrl:
                 data = ctrl.read_range(0, 65536, timeout=120)

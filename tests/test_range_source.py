@@ -4,19 +4,22 @@ Three tiers answer a draw of ``[offset, offset + n)``: the window of
 recently returned ranges (a retried chunk replays without advancing any
 generator), then the generator fronts (continue one, or forward-skip from
 the nearest one behind), and only then a rebuild from seed.  These tests
-pin each tier's bookkeeping, the bounds of both caches, that a retried
-pool chunk replays from the window, and — through a whole engine — that
-a screen trip on a correct stream is served once, never retried.
+pin each tier's bookkeeping, the bounds of both caches, that a fleet
+job requeued after a receipt failure replays from its member's window,
+and — through a whole engine — that a screen trip on a correct stream is
+served once, never retried.
 """
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.robust.faults import FAULT_PLAN_ENV
-from repro.robust.supervisor import payload_crc
-from repro.serve import engine
+from repro import obs
+from repro.fleet import FleetConfig, FleetController
+from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
 from repro.serve.engine import RangeSource, ServeEngine, StreamConfig
 
 STREAM = StreamConfig(algorithm="trivium", seed=0, lanes=64)
@@ -140,19 +143,40 @@ class TestReplayWindow:
             assert len(source._recent) <= max_streams
 
 
+def generator_total(reg, name: str) -> int:
+    """A member-shipped generator counter, summed over its series."""
+    return sum(
+        entry["value"] for entry in reg.snapshot()["metrics"] if entry["name"] == name
+    )
+
+
 class TestPoolRetry:
     def test_retried_chunk_replays_in_the_worker(self, monkeypatch):
+        # one member serves chunk X and X+n … X+3n; its first result is
+        # corrupted after the receipt, so chunk X is requeued behind X+n
+        # and must replay from the member's window: the generator draws
+        # each byte once and seeks (skips X bytes) once, never rebuilding
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        monkeypatch.setattr(engine, "_WORKER_SOURCES", {})
         x, n = 4096, 1024
-        for k in range(4):  # chunk X and X+n … X+3n, as a queue of 4 would
-            engine._serve_chunk((k, STREAM, x + k * n, n, None))
-        source = engine._WORKER_SOURCES[STREAM]
-        rebuilds = source.rebuilds
-        data, crc, _ = engine._serve_chunk((0, STREAM, x, n, None), attempt=1)
-        assert source.rebuilds == rebuilds
-        assert source.replays == 1
-        assert data == offline(x, n) and crc == payload_crc(data)
+        plan = FaultPlan((Fault("corrupt", 0, 0),))
+        config = FleetConfig(workers=1, chunk_bytes=n, heartbeat_interval=0.05)
+        with obs.scoped() as reg:
+            with FleetController(STREAM, config, fault_plan=plan) as fleet:
+                data = fleet.read_range(x, 4 * n, timeout=120.0)
+                member = fleet.members[0]
+                # the first heartbeat after the last result carries the
+                # member's delta covering every job
+                beats = member.heartbeats
+                deadline = time.monotonic() + 30.0
+                while member.heartbeats <= beats:
+                    assert time.monotonic() < deadline, "no heartbeat after the last job"
+                    fleet.pump(0.05)
+                status = fleet.status()
+        assert data == offline(x, 4 * n)
+        assert status["counters"]["receipt_failures"] == 1
+        assert status["counters"]["requeues"] == 1
+        assert generator_total(reg, "repro_generator_emitted_bytes_total") == 4 * n
+        assert generator_total(reg, "repro_generator_skipped_bytes_total") == x
 
     def test_screen_trip_keeps_its_verdicts_and_bytes(self, monkeypatch):
         # the tripping chunk's receipt verified, so its bytes are the

@@ -4,13 +4,14 @@ Covers :mod:`repro.core.ring` directly (slot bounds, ref validation,
 resolve accounting, owner/attacher lifecycle, the anonymous fork
 backing), the leak guarantees (a named segment is unlinked on close and
 reclaimed by the resource tracker when its owner dies by SIGTERM; a
-fork ring starts no tracker at all), and the three parallel result
-paths that ride on it: :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
-partitions, fleet chunk leases and the serve pool's bulk chunks must
-move **zero pickled payload bytes** for ring-eligible chunks while
-staying bit-identical to the sequential reference — including through
-a corruption fault drill, where a damaged slot payload must fail the
-CRC receipt and be retried.
+fork ring starts no tracker at all), and the parallel result paths
+that ride on it: :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
+partitions, fleet chunk leases and the serve engine's bulk chunks
+(which the fleet generates) must move **zero pickled payload bytes**
+for ring-eligible chunks — those above ``RING_MIN_BYTES`` — while
+staying bit-identical to the sequential reference, including through a
+corruption fault drill, where a damaged slot payload must fail the CRC
+receipt and be retried.
 """
 
 import os
@@ -28,7 +29,6 @@ from repro.errors import SpecificationError
 from repro.fleet.controller import FleetConfig, FleetController
 from repro.gpu.multigpu import MultiDeviceGenerator
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
-from repro.robust.supervisor import SupervisorConfig
 from repro.serve.engine import RangeSource, ServeEngine, StreamConfig
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -206,7 +206,7 @@ class TestRingLifecycle:
 
 
     def test_fork_rings_start_no_tracker(self):
-        """A fork-context fleet, serve pool and multi-device job each
+        """A fork-context fleet, serve engine and multi-device job each
         return payloads through a ring, and none starts the
         ``resource_tracker`` process a named segment would need."""
         code = (
@@ -218,11 +218,12 @@ class TestRingLifecycle:
             "from repro.serve.engine import ServeEngine, StreamConfig\n"
             "stream = StreamConfig(algorithm='trivium', seed=11, lanes=128)\n"
             "with obs.scoped() as reg:\n"
-            "    cfg = FleetConfig(workers=1, chunk_bytes=16384, mp_context='fork',\n"
+            "    cfg = FleetConfig(workers=1, chunk_bytes=32768, mp_context='fork',\n"
             "                      heartbeat_timeout=30.0)\n"
             "    with FleetController(stream, cfg) as fleet:\n"
-            "        fleet.read_range(0, 32768, timeout=120.0)\n"
-            "    engine = ServeEngine(stream, workers=1, mp_context='fork')\n"
+            "        fleet.read_range(0, 65536, timeout=120.0)\n"
+            "    engine = ServeEngine(stream, workers=1,\n"
+            "                         fleet=FleetConfig(mp_context='fork'))\n"
             "    engine.start()\n"
             "    try:\n"
             "        engine.generate_range(0, 65536)\n"
@@ -240,7 +241,7 @@ class TestRingLifecycle:
         )
         assert out.returncode == 0, out.stderr
         ring_bytes, tracker = out.stdout.split()
-        assert int(ring_bytes) == 32768 + 65536 + 4 * 4096
+        assert int(ring_bytes) == 65536 + 65536 + 4 * 4096
         assert tracker == "None"
 
 
@@ -297,15 +298,17 @@ class TestMultiDeviceRing:
 
 # -- fleet zero-pickle path ----------------------------------------------------------
 class TestFleetRing:
+    """Every job above ``RING_MIN_BYTES`` (16 KiB) returns through a slot."""
+
     def _stream(self) -> StreamConfig:
         return StreamConfig(algorithm="trivium", seed=11, lanes=128)
 
     def test_zero_pickled_payload_bytes(self):
         stream = self._stream()
-        n = 6 * 16384
+        n = 6 * 32768
         ref = RangeSource(stream).read_range(0, n)
         cfg = FleetConfig(
-            workers=2, chunk_bytes=16384, mp_context="fork", heartbeat_timeout=30.0
+            workers=2, chunk_bytes=32768, mp_context="fork", heartbeat_timeout=30.0
         )
         with obs.scoped() as reg:
             with FleetController(stream, cfg) as fleet:
@@ -318,14 +321,14 @@ class TestFleetRing:
 
     def test_corrupt_worker_payload_strikes_and_recovers(self):
         stream = self._stream()
-        n = 4 * 16384
+        n = 4 * 32768
         ref = RangeSource(stream).read_range(0, n)
         plan = FaultPlan(
             (Fault("corrupt", 0, 0, corrupt_bytes=2), Fault("corrupt", 1, 0, corrupt_bytes=2))
         )
         cfg = FleetConfig(
             workers=2,
-            chunk_bytes=16384,
+            chunk_bytes=32768,
             mp_context="fork",
             heartbeat_timeout=30.0,
             max_strikes=3,
@@ -341,11 +344,11 @@ class TestFleetRing:
         # no shared memory: members ship pickled payload bytes
         monkeypatch.setattr(SharedMemoryRing, "try_create", classmethod(lambda cls, *a: None))
         stream = self._stream()
-        n = 2 * 16384
+        n = 2 * 32768
         ref = RangeSource(stream).read_range(0, n)
         cfg = FleetConfig(
             workers=1,
-            chunk_bytes=16384,
+            chunk_bytes=32768,
             mp_context="fork",
             heartbeat_timeout=30.0,
         )
@@ -358,16 +361,40 @@ class TestFleetRing:
         assert out == ref
 
 
-# -- serve pool bulk-chunk path ------------------------------------------------------
+# -- serve engine bulk-chunk path ----------------------------------------------------
 class TestServePoolRing:
+    """The serve engine's chunks.  The daemon's worker pool is its fleet:
+    a chunk above ``RING_MIN_BYTES`` crosses in one of the fleet's ring
+    slots, and a cancelled chunk's slot stays with its job until the
+    member writing it has finished."""
+
     STREAM = StreamConfig(algorithm="trivium", seed=7, lanes=256)
 
-    def _engine(self, **kw) -> ServeEngine:
-        kw.setdefault("supervision", SupervisorConfig(timeout=60.0, max_retries=2, backoff_base=0.0))
-        return ServeEngine(self.STREAM, **kw)
+    def _engine(self, workers: int = 1, chunk: int = 65536, **policy) -> ServeEngine:
+        policy.setdefault("heartbeat_timeout", 30.0)
+        engine = ServeEngine(self.STREAM, workers=workers, fleet=FleetConfig(**policy))
+        engine.start(chunk_bytes=chunk)
+        return engine
+
+    @staticmethod
+    def _await_members(engine: ServeEngine) -> None:
+        """Pump until every member registered, so dispatch is immediate."""
+        fleet = engine._fleet
+        deadline = time.monotonic() + 60.0
+        while len(fleet._live_members()) < engine.workers:
+            assert time.monotonic() < deadline, "members never registered"
+            fleet.pump(0.05)
+
+    @staticmethod
+    def _await_slots(engine: ServeEngine) -> None:
+        """Wait until every ring slot is back on the free list."""
+        fleet = engine._fleet
+        deadline = time.monotonic() + 30.0
+        while len(fleet._free_slots) < fleet._ring.slots:
+            assert time.monotonic() < deadline, "slots never returned"
+            fleet.pump(0.05)
 
     def _serve(self, engine: ServeEngine, chunk: int, count: int) -> bytes:
-        engine.start()
         try:
             tickets = [engine.submit(i * chunk, chunk, chunk_id=i) for i in range(count)]
             return b"".join(engine.collect(t) for t in tickets)
@@ -376,8 +403,8 @@ class TestServePoolRing:
 
     def test_bulk_chunks_ride_the_ring(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        engine = self._engine(workers=1)
         with obs.scoped() as reg:
+            engine = self._engine()
             out = self._serve(engine, 65536, 6)
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == len(out)
             assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 0
@@ -386,21 +413,33 @@ class TestServePoolRing:
 
     def test_small_chunks_never_touch_the_ring(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        engine = self._engine(workers=1)
         with obs.scoped() as reg:
+            engine = self._engine(chunk=4096)
+            out = self._serve(engine, 4096, 4)
+            names = {e["name"] for e in reg.snapshot()["metrics"]}
+            assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == len(out)
+        assert out == RangeSource(self.STREAM).read_range(0, 4 * 4096)
+        assert engine._fleet._ring is None  # no job could ever use one
+        assert not any(name.startswith("repro_ring_") for name in names)
+
+    def test_small_jobs_ship_pickled_beside_a_ring(self, monkeypatch):
+        # a fleet leasing 64 KiB has a ring; its 4 KiB jobs still skip it
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        with obs.scoped() as reg:
+            engine = self._engine()
+            assert engine._fleet._ring is not None
             out = self._serve(engine, 4096, 4)
             names = {e["name"] for e in reg.snapshot()["metrics"]}
         assert out == RangeSource(self.STREAM).read_range(0, 4 * 4096)
         assert not any(name.startswith("repro_ring_") for name in names)
-        assert "repro_result_pickled_payload_bytes_total" not in names
 
     def test_corrupt_slot_payload_is_rejected_and_retried(self, monkeypatch):
         plan = FaultPlan((Fault("corrupt", 0, 0, corrupt_bytes=3),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        engine = self._engine(workers=1)
         with obs.scoped() as reg:
+            engine = self._engine()
             out = self._serve(engine, 65536, 1)
-            # the damaged attempt and the clean retry both came through a slot
+            # the damaged job and its clean requeue both came through a slot
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == 2 * 65536
             assert _counter_total(reg, "repro_result_pickled_payload_bytes_total") == 0
         assert out == RangeSource(self.STREAM).read_range(0, 65536)
@@ -411,23 +450,55 @@ class TestServePoolRing:
         plan = FaultPlan((Fault("delay", 0, 0, delay=2.0),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         engine = self._engine(workers=2)
-        engine.start()
         try:
-            slow = engine.submit(0, 65536, chunk_id=0)
-            held = slow.lease.slot
+            self._await_members(engine)
+            fleet = engine._fleet
+            slow = engine.submit(0, 65536, chunk_id=0)  # member 0's first job
+            held = fleet._job_slots[slow.jobs[0].job_id]
             engine.cancel(slow)
-            assert held not in engine._free_slots  # its writer is still running
+            assert held not in fleet._free_slots  # its writer is still running
             tickets = [engine.submit(i * 65536, 65536, chunk_id=i) for i in range(1, 4)]
-            assert all(t.lease.slot != held for t in tickets)
+            assert all(fleet._job_slots.get(t.jobs[0].job_id) != held for t in tickets)
             out = b"".join(engine.collect(t) for t in tickets)
-            deadline = time.monotonic() + 30.0
-            while held not in engine._free_slots:  # freed once the attempt ends
-                assert time.monotonic() < deadline, "cancelled attempt never freed its slot"
-                time.sleep(0.05)
+            self._await_slots(engine)  # freed once the late result arrives
+            assert fleet.stale_results == 1
         finally:
             engine.close()
         assert out == RangeSource(self.STREAM).read_range(65536, 3 * 65536)
         assert engine.stats.crc_rejects == 0
+
+    def test_cancelling_a_hundred_inflight_chunks_frees_every_slot_once(self, monkeypatch):
+        """A hundred 64 KiB chunks are cancelled while member 0 is wedged
+        in its first job — as when their clients disconnect.  Chunks
+        submitted meanwhile are served intact; afterwards no cancelled
+        byte is held, nothing is assigned, and every slot is back on the
+        free list exactly once."""
+        plan = FaultPlan((Fault("delay", 0, 0, delay=1.0),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        chunk = 65536
+        engine = self._engine(workers=2)
+        try:
+            self._await_members(engine)
+            fleet = engine._fleet
+            doomed = [engine.submit(i * chunk, chunk, chunk_id=i) for i in range(100)]
+            assert len(fleet._assigned) == fleet._ring.slots  # the ring is full
+            live = [engine.submit((100 + i) * chunk, chunk, chunk_id=100 + i) for i in range(2)]
+            for ticket in doomed:
+                engine.cancel(ticket)
+            live_ids = {job.job_id for t in live for job in t.jobs}
+            assert {job.job_id for job in fleet._pending} <= live_ids
+            out = b"".join(engine.collect(t) for t in live)
+            late = [engine.submit((102 + i) * chunk, chunk, chunk_id=102 + i) for i in range(4)]
+            out += b"".join(engine.collect(t) for t in late)
+            self._await_slots(engine)
+            assert fleet._results == {} and fleet._assigned == {} and fleet._cancelled == {}
+            assert not fleet._pending
+            assert sorted(fleet._free_slots) == list(range(fleet._ring.slots))
+            stats = engine.stats
+        finally:
+            engine.close()
+        assert out == RangeSource(self.STREAM).read_range(100 * chunk, 6 * chunk)
+        assert stats.crc_rejects == 0 and stats.chunks_ok == 6
 
     def test_slot_free_list_survives_concurrent_collectors(self, monkeypatch):
         """More workers than cores, four collector threads, cancels in the
@@ -436,7 +507,6 @@ class TestServePoolRing:
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         chunk, per_thread = 65536, 6
         engine = self._engine(workers=3)
-        engine.start()
         served: dict[int, bytes] = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -456,11 +526,10 @@ class TestServePoolRing:
             for t in threads:
                 t.join(timeout=120.0)
             assert not any(t.is_alive() for t in threads)
-            deadline = time.monotonic() + 30.0
-            while len(engine._free_slots) < engine._ring.slots:  # cancelled writers finish
-                assert time.monotonic() < deadline, "slots never returned"
-                time.sleep(0.05)
-            assert sorted(engine._free_slots) == list(range(engine._ring.slots))
+            self._await_slots(engine)  # cancelled writers finish
+            fleet = engine._fleet
+            assert sorted(fleet._free_slots) == list(range(fleet._ring.slots))
+            assert fleet._results == {} and fleet._cancelled == {}
         finally:
             sys.setswitchinterval(interval)
             engine.close()
@@ -472,8 +541,8 @@ class TestServePoolRing:
 
     def test_spawn_engine_is_bit_identical(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        engine = self._engine(workers=1, mp_context="spawn")
         with obs.scoped() as reg:
+            engine = self._engine(mp_context="spawn")
             out = self._serve(engine, 65536, 2)
             assert _counter_total(reg, "repro_ring_payload_bytes_total") == len(out)
         assert out == RangeSource(self.STREAM).read_range(0, 2 * 65536)

@@ -1,7 +1,7 @@
 """End-to-end tests for the serve daemon over real HTTP.
 
 Each fixture boots a full daemon (asyncio server + lease manager +
-supervised worker pool) on an ephemeral port in a background thread and
+supervised worker fleet) on an ephemeral port in a background thread and
 tears it down through the graceful-drain path, so every test run also
 exercises startup and shutdown.  The acceptance-critical checks live
 here:
@@ -10,12 +10,15 @@ here:
   :class:`BSRNG` positioned at the announced lease offsets, and the
   granted ranges never overlap;
 * ``/metrics`` passes the Prometheus exposition linter in-process;
-* an injected *stuck* fault is caught by the CRC receipt (the chunk
-  retries and the request completes, ``/healthz`` stays healthy), while
+* an injected *stuck* fault is caught by the CRC receipt (the job is
+  requeued and the request completes, ``/healthz`` stays healthy), while
   a defective generator's CRC-clean bytes are served once and latch
   ``/healthz`` unhealthy;
 * an injected worker *crash* is absorbed by supervision — the client
   sees a clean 200, never an error.
+
+Fault plans are keyed the fleet's way, ``(worker_id, job_index)``: a
+member's n-th job.  A replacement member gets the next worker id.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import pytest
 
 from repro import obs
 from repro.obs.promlint import lint
+from repro.fleet import FleetConfig
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
-from repro.robust.supervisor import SupervisorConfig
 from repro.serve import DaemonConfig, ServeDaemon, ServeEngine, StreamConfig
 from repro.serve.loadgen import fetch_bytes, percentile, run_load
 
@@ -47,15 +50,10 @@ def running_daemon(
     chunk_bytes: int = 2048,
     queue_depth: int = 2,
     screen: bool = True,
-    supervision: SupervisorConfig | None = None,
+    fleet: FleetConfig | None = None,
     journal_path: str | None = None,
 ):
-    engine = ServeEngine(
-        STREAM,
-        workers=workers,
-        supervision=supervision or SupervisorConfig(timeout=60.0, max_retries=2),
-        screen=screen,
-    )
+    engine = ServeEngine(STREAM, workers=workers, screen=screen, fleet=fleet)
     daemon = ServeDaemon(
         engine,
         DaemonConfig(
@@ -259,9 +257,9 @@ def _wait_for(predicate, timeout: float = 30.0) -> bool:
 
 class TestChunkPipeline:
     def test_chunks_are_screened_in_stream_order(self, monkeypatch):
-        # the lease's first chunk sleeps in one worker while the other
-        # worker finishes the chunks behind it: acceptance (CRC, screen,
-        # QA) must still run in stream order
+        # member 0's first job sleeps while the other member finishes
+        # the chunks behind it: acceptance (CRC, screen, QA) must still
+        # run in stream order
         plan = FaultPlan(faults=(Fault(kind="delay", partition=0, attempt=0, delay=1.0),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         with running_daemon(workers=2, queue_depth=4) as (daemon, base):
@@ -315,27 +313,35 @@ class TestChunkPipeline:
             assert _wait_for(lambda: d.status()["leases"]["active"] == 0)
 
     def test_failure_of_first_chunk_is_a_clean_503(self, monkeypatch):
+        # members 0, 1 and 2 each crash on their first job, the first
+        # chunk's: the eviction budget of 2 is spent, degrading is off
         plan = FaultPlan(
-            faults=tuple(Fault(kind="crash", partition=0, attempt=a) for a in range(3))
+            faults=tuple(Fault(kind="crash", partition=w, attempt=0) for w in range(3))
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        supervision = SupervisorConfig(timeout=60.0, max_retries=2, degrade_sequential=False)
-        with running_daemon(workers=1, supervision=supervision) as (daemon, base):
+        fleet = FleetConfig(degrade_inline=False, max_evictions=2)
+        with running_daemon(workers=1, fleet=fleet) as (daemon, base):
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(f"{base}/v1/bytes?n=3000")
             assert err.value.code == 503
             assert daemon.status()["leases"]["active"] == 0
 
     def test_failure_after_head_closes_connection_and_releases_lease(self, monkeypatch):
-        # chunk 1 of 3 fails every pool attempt and degradation is off:
-        # the 200 head and chunk 0 are already out, so the daemon must cut
-        # the connection (truncated body), not write a second status line
+        # chunk 1 of 3 crashes every member that runs it — member 0 as
+        # its second job, members 1 and 2 as their first — and degrading
+        # is off: the 200 head and chunk 0 are already out, so the daemon
+        # must cut the connection (truncated body), not write a second
+        # status line
         plan = FaultPlan(
-            faults=tuple(Fault(kind="crash", partition=1, attempt=a) for a in range(3))
+            faults=(
+                Fault(kind="crash", partition=0, attempt=1),
+                Fault(kind="crash", partition=1, attempt=0),
+                Fault(kind="crash", partition=2, attempt=0),
+            )
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        supervision = SupervisorConfig(timeout=60.0, max_retries=2, degrade_sequential=False)
-        with running_daemon(workers=1, chunk_bytes=1024, supervision=supervision) as (
+        fleet = FleetConfig(degrade_inline=False, max_evictions=2)
+        with running_daemon(workers=1, chunk_bytes=1024, fleet=fleet) as (
             daemon,
             base,
         ):
@@ -358,9 +364,9 @@ class TestChunkPipeline:
 
 class TestFaultDrills:
     def test_stuck_fault_is_caught_by_crc_receipt(self, monkeypatch):
-        # chunk 0, attempt 0 returns all-zero bytes after the worker took
-        # its receipt: the mismatch marks a damaged transfer, the retry
-        # serves the true bytes, and the screen never sees the zeros — so
+        # member 0's first job returns all-zero bytes after it took its
+        # receipt: the mismatch marks a damaged transfer, the requeued
+        # job serves the true bytes, and the screen never sees the zeros — so
         # the stream's health verdict is untouched
         plan = FaultPlan(faults=(Fault(kind="stuck", partition=0, attempt=0),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
@@ -399,8 +405,8 @@ class TestFaultDrills:
             assert doc["events"][0]["test"] == "rct"
 
     def test_corrupt_payload_is_caught_by_crc_receipt(self, monkeypatch):
-        # corruption happens after the worker's CRC receipt, so the
-        # dispatcher sees a transfer-damage mismatch and retries — the
+        # corruption happens after the member's CRC receipt, so the
+        # fleet sees a transfer-damage mismatch and requeues — the
         # health verdict is untouched (the stream itself was fine)
         plan = FaultPlan(faults=(Fault(kind="corrupt", partition=0, attempt=0),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
@@ -518,10 +524,10 @@ class TestTraceHeaders:
             obs.disable_tracing()
         names = {r.name for r in records}
         assert "serve.request" in names  # daemon-side span
-        assert "serve.worker_chunk" in names  # pool-worker span, merged home
+        assert "fleet.worker_chunk" in names  # member span, merged home
         import os
 
-        worker = next(r for r in records if r.name == "serve.worker_chunk")
+        worker = next(r for r in records if r.name == "fleet.worker_chunk")
         assert worker.pid != os.getpid()
         # parent links resolve within the collected trace
         span_ids = {r.span_id for r in records}

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI chaos drill for the fleet-backed ``repro serve`` daemon.
 
-Boots the real CLI entry point with ``--fleet 4`` and a scripted
+Boots the real CLI entry point with ``--workers 4`` and a scripted
 ``REPRO_FAULT_PLAN`` that sabotages two of the four members mid-stream —
 one crashes outright after its second job, one goes heartbeat-silent
 from the start — then proves the service absorbed the losses:
@@ -22,7 +22,7 @@ from the start — then proves the service absorbed the losses:
 7. send SIGTERM and require a graceful drain with exit status 0;
 8. load the ``--trace-out`` Chrome trace the daemon wrote on exit and
    require one traced request to stitch the daemon's ``serve.request``
-   span, the controller's ``fleet.read_range`` span and chunk spans
+   span, the engine's ``serve.chunk`` spans and chunk spans
    from >= 2 distinct worker *processes* under a single trace id with
    every parent link resolvable.
 
@@ -108,14 +108,13 @@ def main(argv=None) -> int:
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "-a", args.algorithm, "-s", str(args.seed), "-l", str(args.lanes),
-            "--fleet", str(args.fleet),
+            "--workers", str(args.fleet),
             "--heartbeat-interval", "0.2",
             "--heartbeat-timeout", "2.0",
-            # stream in 64 KiB chunks but lease 16 KiB to the fleet: one
-            # generation call fans four concurrent jobs over the members,
-            # which is what lets a single request's trace span >= 2 workers
-            "--chunk-bytes", "65536",
-            "--fleet-chunk-bytes", "16384",
+            # stream in 16 KiB chunks: one request pipelines several
+            # concurrent jobs over the members, which is what lets a
+            # single request's trace span >= 2 workers
+            "--chunk-bytes", "16384",
             "--trace-out", str(trace_path),
             "--metrics-out", str(metrics_path),
         ],
@@ -264,11 +263,11 @@ def main(argv=None) -> int:
         if not focus:
             fail(f"trace file has no spans for trace_id {focus_trace_id}")
         names = {e["name"] for e in focus}
-        for required in ("serve.request", "fleet.read_range", "fleet.worker_chunk"):
+        for required in ("serve.request", "serve.chunk", "fleet.worker_chunk"):
             if required not in names:
                 fail(f"focused trace is missing a {required} span (has {sorted(names)})")
         daemon_pids = {
-            e["pid"] for e in focus if e["name"] in ("serve.request", "fleet.read_range")
+            e["pid"] for e in focus if e["name"] in ("serve.request", "serve.chunk")
         }
         worker_pids = {e["pid"] for e in focus if e["name"] == "fleet.worker_chunk"}
         if len(worker_pids) < 2:
