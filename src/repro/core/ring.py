@@ -1,8 +1,9 @@
 """Zero-copy output ring: shared-memory slots instead of pickled payloads.
 
-The parallel result paths — :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
-pool workers and fleet members (which serve every daemon chunk) — used to ship
-every generated chunk back to the parent as message *payload bytes*:
+The parallel result path — fleet members, which generate every daemon
+chunk and every :class:`~repro.gpu.multigpu.MultiDeviceGenerator`
+partition — used to ship every generated chunk back to the parent as
+message *payload bytes*:
 pickled into a pipe, copied into the queue buffer, copied back out,
 unpickled.  For large chunks the serialisation round-trip costs more
 than generating the bytes did.
@@ -31,7 +32,7 @@ picks from the workers' start method:
   registers itself in a module-level table that forked children
   inherit, and :func:`attach_ring` looks names up there first, so a
   worker writes through the very mapping its parent created.  The ring
-  must therefore exist *before* the workers fork (a pool that forks a
+  must therefore exist *before* the workers fork (a fleet that forks a
   replacement later forks the parent, which still holds the mapping).
   There is no segment name to unlink and no ``resource_tracker``
   process; the memory goes away with the last process that maps it.
@@ -194,10 +195,9 @@ class SharedMemoryRing:
     def resolve(self, obj):
         """Payload resolver hook: refs become bytes, all else passes through.
 
-        The fleet controller resolves every member result through it, and
-        :class:`~repro.robust.supervisor.PartitionSupervisor` installs it
-        as its resolver, so returned payloads are materialised *before*
-        CRC verification — a torn or stale slot write is then
+        The fleet controller resolves every ring-parked member result
+        through it, so returned payloads are materialised *before* CRC
+        verification — a torn or stale slot write is then
         indistinguishable from a corrupted transfer and handled by the
         same retry policy (a receipt strike and a requeue).  Counts
         how many payload bytes travelled through the ring versus through

@@ -1,12 +1,13 @@
 """Elastic worker fleet: heartbeat-supervised membership over a transport.
 
-The batch scale-out layers (:mod:`repro.gpu.multigpu`) treat workers as
-fire-and-forget pool jobs: a dead worker is only discovered when its
-result fails to arrive, and recovery is per call.  The paper's multi-GPU measurements
-(§VI, 2–8 devices) share the same assumption — every device is healthy
-for the whole run.  This package generalises that to *supervised
-membership* so a long-lived deployment survives workers that die, hang,
-or silently degrade:
+The paper's multi-GPU measurements (§VI, 2–8 devices) assume every
+device is healthy for the whole run.  This package generalises the
+scale-out to *supervised membership*, so work survives workers that
+die, hang, or silently degrade.  It is the one way work runs in worker
+processes: the serve daemon keeps a long-lived fleet, and every batch
+layer (:mod:`repro.gpu.multigpu`, :mod:`repro.nist.parallel`) runs its
+partitions as jobs on an ephemeral one through
+:class:`~repro.robust.supervisor.PartitionSupervisor`.
 
 * :mod:`repro.fleet.transport` — the message plane: worker
   registration, periodic heartbeats, job dispatch and results, behind a
@@ -16,17 +17,16 @@ or silently degrade:
   the interface is message-passing end to end, so a socket transport for
   remote hosts slots in without touching the controller.
 * :mod:`repro.fleet.worker` — the long-lived worker loop: register,
-  heartbeat on an interval, serve counter-space chunk jobs through a
-  cached :class:`~repro.serve.engine.RangeSource` front, honour
-  fleet-level ``REPRO_FAULT_PLAN`` faults (heartbeat silence, slow-bleed
-  corruption) for deterministic chaos drills.
+  heartbeat on an interval, run jobs — counter-space ranges through a
+  cached :class:`~repro.serve.engine.RangeSource` front, or a
+  partition's body — and honour ``REPRO_FAULT_PLAN`` faults (heartbeat
+  silence, slow-bleed corruption, ...) for deterministic chaos drills.
 * :mod:`repro.fleet.controller` — :class:`FleetController`:
   deadline-based liveness over the heartbeats, CRC receipt
-  verification, eviction with **lease reassignment** (chunk
-  leases follow :class:`~repro.serve.leases.LeaseManager`'s
-  never-reissue semantics, so the merged output stays bit-identical to a
-  single-device run), elastic resizing, and inline degradation when the
-  whole fleet is gone.
+  verification, eviction with **job reassignment** (job ids are never
+  reissued and each is accepted at most once, so the merged output
+  stays bit-identical to a single-device run), elastic resizing, and
+  inline degradation when the whole fleet is gone.
 
 Everything the controller observes is published through :mod:`repro.obs`
 (`repro_fleet_workers`, `repro_fleet_evictions_total`, ...), and

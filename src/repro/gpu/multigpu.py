@@ -10,17 +10,18 @@ generation and reconstruction logic is identical, and the key §5.4
 property — the multi-device output equals the single-device sequential
 output — is testable exactly.
 
-Partitions are submitted through a
+Partitions run as jobs on an ephemeral worker fleet through a
 :class:`~repro.robust.supervisor.PartitionSupervisor`, which adds the
-failure handling the paper's demo fan-out lacks: per-partition timeouts,
-retry with exponential backoff, CRC verification of each
-received payload, and graceful degradation to in-process generation when
-the worker pool is exhausted.  Because each partition is a pure function
-of ``(seed, start_block, n_blocks)``, a retried partition regenerates
+failure handling the paper's demo fan-out lacks: heartbeat deadlines,
+an attempt budget, CRC verification of each received payload, and
+graceful degradation to in-process generation once a partition's
+attempts are spent.  Because each partition is a pure function of
+``(seed, start_block, n_blocks)``, a retried partition regenerates
 byte-identical data — recovery never perturbs the output stream.  A
-deterministic :class:`~repro.robust.faults.FaultPlan` can be threaded
-into the workers (constructor argument or ``REPRO_FAULT_PLAN`` env var)
-to exercise every recovery path.
+deterministic :class:`~repro.robust.faults.FaultPlan` keyed by
+``(partition, attempt)`` can be threaded into the workers (constructor
+argument or ``REPRO_FAULT_PLAN`` env var) to exercise every recovery
+path.
 """
 
 from __future__ import annotations
@@ -31,18 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.core.ring import SharedMemoryRing
 from repro.errors import ModelError, SpecificationError
-from repro.obs import context as trace_context
 from repro.obs.tracing import span
 from repro.robust.faults import FaultPlan
-from repro.robust.supervisor import (
-    PartitionSupervisor,
-    SupervisorConfig,
-    SupervisorReport,
-    worker_attempt,
-)
-from repro.serve.engine import RangeSource, StreamConfig, range_attempt
+from repro.robust.supervisor import PartitionSupervisor, SupervisorConfig, SupervisorReport
+from repro.serve.engine import StreamConfig
 
 __all__ = [
     "partition_counter_space",
@@ -237,25 +231,18 @@ class _SupervisedDevices:
         self.fault_plan = fault_plan
         self.last_report = None
 
-    def _job_context(self) -> tuple[str | None, tuple | None]:
-        """``(plan_json, trace wire)`` every device job carries: contextvars
-        do not cross the pool boundary, so the trace context rides the
-        job explicitly (``None`` while tracing is off)."""
-        plan_json = self.fault_plan.to_json() if self.fault_plan is not None else None
-        return plan_json, trace_context.current_wire() if obs.active_tracer() else None
-
-    def _supervise(self, worker, make_jobs, parallel, job_size, job_unit, span_name,
-                   resolve=None, **span_args) -> dict:
-        """Run ``make_jobs()`` under a :class:`PartitionSupervisor` and record
-        :attr:`last_report`.  The jobs are built inside the *span_name*
-        span, so worker spans hang off it.  Worker metric snapshots are
-        folded into the parent registry (no-op while metrics are off),
-        each series labelled ``partition=<id>`` so it stays attributable."""
-        supervisor = PartitionSupervisor(worker, self.mp_context, self.config)
-        supervisor.resolve = resolve
+    def _supervise(self, body, jobs, parallel, job_size, job_unit, span_name, **span_args) -> dict:
+        """Run *jobs* under a :class:`PartitionSupervisor` and record
+        :attr:`last_report`.  Worker spans hang off the *span_name* span.
+        Worker metric snapshots are folded into the parent registry
+        (no-op while metrics are off), each series labelled
+        ``partition=<id>`` so it stays attributable."""
+        supervisor = PartitionSupervisor(
+            body, self.mp_context, self.config, stream=self.stream, fault_plan=self.fault_plan
+        )
         t0 = time.perf_counter()
         with span(span_name, algo=self.algorithm, devices=self.n_devices, **span_args):
-            results = supervisor.run(make_jobs(), parallel=parallel)
+            results = supervisor.run(jobs, parallel=parallel)
         wall = time.perf_counter() - t0
         if obs.metrics_enabled():
             for pid, snap in sorted(supervisor.report.worker_metrics.items()):
@@ -265,33 +252,6 @@ class _SupervisedDevices:
             completed=set(results),
         )
         return results
-
-
-def _device_worker(job, attempt: int = 0) -> tuple[bytes, int, dict, dict | None]:
-    """Generate one partition (runs in a worker process = one 'GPU').
-
-    ``job`` is ``(device_id, stream, offset, n, plan_json, trace,
-    ring)``: the shared stream-range body
-    (:func:`~repro.serve.engine.range_attempt`) in the
-    :func:`~repro.robust.supervisor.worker_attempt` shell, over a fresh
-    generator.  Counter-based kernels (AES-CTR, the paper's §5.4
-    example) seek to the offset in O(1); LFSR-based kernels clock through
-    and discard, which caps their multi-device speedup — exactly why the
-    paper partitions *counter space* rather than a serial stream.
-    """
-    device_id, stream, offset, n, plan_json, trace, ring = job
-    source = RangeSource(stream, max_streams=1)
-
-    def account(wall: float) -> None:
-        source.publish_metrics()
-        obs.set_gauge("repro_device_wall_seconds", wall, device=device_id)
-        obs.inc("repro_device_attempts_total", 1, device=device_id)
-
-    return range_attempt(
-        source, device_id, attempt, offset, n, FaultPlan.resolve(plan_json),
-        shell=worker_attempt, ring=ring, account=account, trace=trace,
-        span_name="device.partition", process_name=f"device-worker-{device_id}",
-    )
 
 
 class MultiDeviceGenerator(_SupervisedDevices):
@@ -319,10 +279,15 @@ class MultiDeviceGenerator(_SupervisedDevices):
         default: fused for bitsliced algorithms).  Workers also inherit
         BSRNG's double-buffered refill pipeline.
 
-    Partition payloads return through a per-job
-    :class:`~repro.core.ring.SharedMemoryRing` (one slot per partition)
-    rather than the pool pipe; they fall back to pickled payloads where
-    shared memory is unavailable.
+    A partition is a range job on :attr:`stream`, drawn exactly as a
+    fleet member draws a served chunk.  Counter-based kernels (AES-CTR,
+    the paper's §5.4 example) seek to the offset in O(1); LFSR-based
+    kernels clock through and discard, which caps their multi-device
+    speedup — exactly why the paper partitions *counter space* rather
+    than a serial stream.  A partition above
+    :data:`~repro.core.ring.RING_MIN_BYTES` returns through the fleet's
+    shared-memory ring, a smaller one (or any, without shared memory)
+    pickled.
     """
 
     def __init__(
@@ -355,18 +320,10 @@ class MultiDeviceGenerator(_SupervisedDevices):
         )
         self._init_supervision(mp_context, timeout, max_retries, degrade_sequential, fault_plan)
 
-    def _jobs(self, total_blocks: int, ring: SharedMemoryRing | None = None) -> dict[int, tuple]:
-        plan_json, wire = self._job_context()
+    def _jobs(self, total_blocks: int) -> dict[int, tuple[int, int]]:
+        """``{device: (offset, length)}``: each device's range of :attr:`stream`."""
         return {
-            p.device_id: (
-                p.device_id,
-                self.stream,
-                p.start_block * self.block_bytes,
-                p.n_blocks * self.block_bytes,
-                plan_json,
-                wire,
-                (*ring.spec, p.device_id) if ring is not None else None,
-            )
+            p.device_id: (p.start_block * self.block_bytes, p.n_blocks * self.block_bytes)
             for p in partition_counter_space(total_blocks, self.n_devices)
             if p.n_blocks > 0
         }
@@ -385,26 +342,12 @@ class MultiDeviceGenerator(_SupervisedDevices):
         if total_blocks < 0:
             raise SpecificationError("total_blocks must be non-negative")
         if total_blocks == 0:
-            # explicit empty-job fast path: no pool, no workers, no report
+            # explicit empty-job fast path: no fleet, no workers, no report
             return b""
-        ring = None
-        if parallel:
-            # one slot per partition, sized for the largest one; a slot is
-            # owned by its partition for the whole job, so retries simply
-            # overwrite and torn writes are caught by the CRC receipt
-            parts = [p for p in partition_counter_space(total_blocks, self.n_devices)
-                     if p.n_blocks > 0]
-            slot_bytes = max(p.n_blocks for p in parts) * self.block_bytes
-            ring = SharedMemoryRing.try_create(slot_bytes, len(parts), self.mp_context)
-        try:
-            results = self._supervise(
-                _device_worker, lambda: self._jobs(total_blocks, ring=ring), parallel,
-                total_blocks, "blocks", "multidevice.generate",
-                resolve=ring.resolve if ring is not None else None, blocks=total_blocks,
-            )
-        finally:
-            if ring is not None:
-                ring.close()
+        results = self._supervise(
+            None, self._jobs(total_blocks), parallel, total_blocks, "blocks",
+            "multidevice.generate", blocks=total_blocks,
+        )
         return b"".join(results[pid] for pid in sorted(results))
 
     def sequential_reference(self, total_blocks: int) -> bytes:
@@ -412,50 +355,31 @@ class MultiDeviceGenerator(_SupervisedDevices):
         return self.stream.make_rng().random_bytes(total_blocks * self.block_bytes)
 
 
-def _lane_worker(job, attempt: int = 0) -> tuple[np.ndarray, int, dict, dict | None]:
-    """Run one device's lane window (a worker process = one 'GPU').
-
-    Same shared :func:`~repro.robust.supervisor.worker_attempt` shell as
-    :func:`_device_worker` (ndarray payloads keep dtype and shape through
-    fault mutation); the body here is the lane-window bank run.
-    """
-    (
-        device_id,
-        cls_path,
-        seed,
-        lane_offset,
-        n_lanes,
-        n_bits,
-        plan_json,
-        fused,
-        clocks_per_call,
-    ) = job[:9]
-    trace = job[9] if len(job) > 9 else None
+def _lane_window(
+    cls_path: str,
+    seed: int,
+    lane_offset: int,
+    n_lanes: int,
+    n_bits: int,
+    fused: bool,
+    clocks_per_call: int,
+    device_id: int,
+) -> np.ndarray:
+    """One device's lane window, ``(n_lanes, n_bits)`` uint8: the body
+    of a lane partition (a worker process = one 'GPU')."""
     from repro.core.engine import BitslicedEngine
 
     module_name, cls_name = cls_path.rsplit(".", 1)
     cls = getattr(__import__(module_name, fromlist=[cls_name]), cls_name)
-
-    def produce() -> np.ndarray:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    with span("device.lanes", device=device_id):
         engine = BitslicedEngine(n_lanes=n_lanes, fused=fused, clocks_per_call=clocks_per_call)
-        bank = cls(engine).seed(seed, lane_offset=lane_offset)
-        out = bank.keystream_bits(n_bits)
-        engine.publish_gate_metrics(algorithm=cls_name)
-        obs.inc("repro_device_lane_bits_total", int(out.size), device=device_id)
-        obs.set_gauge("repro_device_wall_seconds", time.perf_counter() - t0, device=device_id)
-        obs.inc("repro_device_attempts_total", 1, device=device_id)
-        return out
-
-    return worker_attempt(
-        device_id,
-        attempt,
-        FaultPlan.resolve(plan_json),
-        produce,
-        trace=trace,
-        span_name="device.lanes",
-        process_name=f"lane-worker-{device_id}",
-    )
+        out = cls(engine).seed(seed, lane_offset=lane_offset).keystream_bits(n_bits)
+    engine.publish_gate_metrics(algorithm=cls_name)
+    obs.inc("repro_device_lane_bits_total", int(out.size), device=device_id)
+    obs.set_gauge("repro_device_wall_seconds", time.perf_counter() - t0, device=device_id)
+    obs.inc("repro_device_attempts_total", 1, device=device_id)
+    return out
 
 
 class LanePartitionedGenerator(_SupervisedDevices):
@@ -471,7 +395,8 @@ class LanePartitionedGenerator(_SupervisedDevices):
 
     Device jobs go through the same
     :class:`~repro.robust.supervisor.PartitionSupervisor` policy as the
-    counter-space path (timeouts, retries, CRC verification, degrade).
+    counter-space path (timeouts, retries, CRC verification, degrade);
+    each runs :func:`_lane_window` as its body.
     """
 
     def __init__(
@@ -504,51 +429,31 @@ class LanePartitionedGenerator(_SupervisedDevices):
         self._init_supervision(mp_context, timeout, max_retries, degrade_sequential, fault_plan)
         self.fused = bool(fused)
         self.clocks_per_call = int(clocks_per_call)
+        #: Only names the kernel the workers import before they fork.
+        self.stream = StreamConfig(algorithm, seed)
 
     def device_partitions(self) -> list[DevicePartition]:
         """Lane windows per device (start/size in lanes)."""
         per = self.total_lanes // self.n_devices
         return [DevicePartition(d, d * per, per) for d in range(self.n_devices)]
 
+    def _window(self, lane_offset: int, n_lanes: int, n_bits: int, device_id: int) -> tuple:
+        return (
+            _LANE_BANKS[self.algorithm], self.seed, lane_offset, n_lanes, n_bits,
+            self.fused, self.clocks_per_call, device_id,
+        )
+
     def generate_lanes(self, n_bits: int, parallel: bool = True) -> np.ndarray:
         """Per-lane keystreams, ``(total_lanes, n_bits)`` uint8."""
-
-        def jobs() -> dict[int, tuple]:
-            plan_json, wire = self._job_context()
-            return {
-                p.device_id: (
-                    p.device_id,
-                    _LANE_BANKS[self.algorithm],
-                    self.seed,
-                    p.start_block,
-                    p.n_blocks,
-                    n_bits,
-                    plan_json,
-                    self.fused,
-                    self.clocks_per_call,
-                    wire,
-                )
-                for p in self.device_partitions()
-            }
-
+        jobs = {
+            p.device_id: self._window(p.start_block, p.n_blocks, n_bits, p.device_id)
+            for p in self.device_partitions()
+        }
         results = self._supervise(
-            _lane_worker, jobs, parallel, n_bits, "bits", "lanepartitioned.generate", bits=n_bits
+            _lane_window, jobs, parallel, n_bits, "bits", "lanepartitioned.generate", bits=n_bits
         )
         return np.vstack([results[pid] for pid in sorted(results)])
 
     def sequential_reference(self, n_bits: int) -> np.ndarray:
         """One big bank on a single device — the equivalence target."""
-        out, _, _, _ = _lane_worker(
-            (
-                0,
-                _LANE_BANKS[self.algorithm],
-                self.seed,
-                0,
-                self.total_lanes,
-                n_bits,
-                None,
-                self.fused,
-                self.clocks_per_call,
-            )
-        )
-        return out
+        return _lane_window(*self._window(0, self.total_lanes, n_bits, 0))

@@ -5,33 +5,34 @@ the gigabit workloads the fused kernels generate, *validating* the
 output costs orders of magnitude more than producing it.  But a battery
 is embarrassingly parallel — sts-2.1.2 and paranoid_crypto both treat it
 as an independent map over (sequence, test) — so this module shards it
-across a supervised process pool:
+across a supervised worker fleet:
 
 * **Shard layout** — :func:`plan_shards` cuts the work into
   ``(sequence chunk) × (test group)`` units.  Sequence chunks alone
-  saturate the pool when there are enough sequences; when there are
+  saturate the fleet when there are enough sequences; when there are
   fewer sequences than workers the planner also splits the tests into
   cost-balanced groups (LinearComplexity dwarfs everything else), so
   even a 2-sequence battery fans out.
 * **Counter-space sequence partitioning** — a worker never receives
-  bits.  It spawns its own :class:`~repro.core.generator.BSRNG` from the
-  job's ``(algorithm, seed)`` and seeks to its chunk with
+  bits.  It builds its own :class:`~repro.core.generator.BSRNG` from the
+  job's :class:`~repro.serve.engine.StreamConfig` and seeks to its chunk with
   :meth:`~repro.core.generator.BSRNG.skip_bytes` — sequence *i* owns
   bytes ``[i·⌈n_bits/8⌉, (i+1)·⌈n_bits/8⌉)`` of the stream, exactly the
   bytes the sequential battery would have drawn — so gigabits of input
   never cross a pickle boundary, and the merged report is bit-identical
   to :func:`~repro.nist.suite.run_suite` on the same seed.
-* **Supervision** — shards run under a
-  :class:`~repro.robust.supervisor.PartitionSupervisor`: per-round
-  timeout, retry with backoff on fresh pools, CRC verification
-  of the (JSON) result payload, and degradation to in-process execution
-  when the pool is exhausted.  Because a shard is a pure function of
+* **Supervision** — each shard is a body job (:func:`_shard_body`) on an
+  ephemeral fleet of ``workers`` members, run by a
+  :class:`~repro.robust.supervisor.PartitionSupervisor`: heartbeat
+  deadline, an attempt budget, CRC verification of the (JSON) result
+  payload, and degradation to in-process execution once a shard's
+  attempts are spent.  Because a shard is a pure function of
   ``(seed, seq_start, n_seqs, tests)``, a retried shard reproduces its
   p-values exactly and recovery never perturbs the aggregate.
 * **Telemetry** — the parent counts ``repro_nist_shards_total``; each
   worker times every test into the ``repro_nist_test_seconds`` histogram
-  (label ``test=<name>``) in a scoped registry that ships back through
-  the pool result and merges parent-side with a ``shard`` label.
+  (label ``test=<name>``) in a scoped registry that ships back with
+  the shard's result and merges parent-side with a ``shard`` label.
 
 The merged :class:`~repro.nist.suite.SuiteReport` carries the
 :class:`~repro.robust.supervisor.SupervisorReport` in its
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -52,7 +53,10 @@ from repro import obs
 from repro.errors import PartitionCorruptionError, SpecificationError
 from repro.nist.suite import ALL_TESTS, SuiteReport, summarize_pvalues
 from repro.obs.tracing import span
-from repro.robust.supervisor import PartitionSupervisor, SupervisorConfig, worker_attempt
+from repro.robust.supervisor import PartitionSupervisor, SupervisorConfig
+
+if TYPE_CHECKING:
+    from repro.serve.engine import StreamConfig
 
 __all__ = [
     "Shard",
@@ -136,7 +140,7 @@ def plan_shards(
 
     Defaults aim for ~2 shards per worker (retry granularity and load
     balancing) while splitting tests only when sequence chunks alone
-    cannot fill the pool: ``test_groups`` defaults to
+    cannot fill the fleet: ``test_groups`` defaults to
     ``ceil(2·workers / n_chunks)``, i.e. 1 whenever there are at least
     twice as many sequence chunks as workers.  Test groups are balanced
     by :data:`TEST_COST` with a greedy longest-processing-time pass.
@@ -176,55 +180,34 @@ def plan_shards(
     return shards
 
 
-def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int, dict, None]:
-    """Run one shard (a worker process of the battery pool).
+def _shard_body(
+    stream: StreamConfig,
+    shard_id: int,
+    seq_start: int,
+    n_seqs: int,
+    n_bits: int,
+    test_names: tuple[str, ...],
+) -> bytes:
+    """Run one shard: the body of a battery partition.
 
-    Spawns the shard's own :class:`~repro.core.generator.BSRNG`, seeks
-    to its sequence chunk via ``skip_bytes`` and runs its test group over
-    each sequence, inside the shared
-    :func:`~repro.robust.supervisor.worker_attempt` shell.  Returns
-    ``(payload, crc, metrics, None)``: the payload is a canonical JSON
-    encoding of ``{test: {p_values, dropped, reason}}`` — bytes, so the
-    supervisor's CRC verification and the fault plan's corruption
-    injection act on it exactly like a generation payload — and
-    ``metrics`` is the worker's scoped registry snapshot (per-test
-    timing histograms) for the parent-side merge.
+    Builds the shard's own generator from *stream*, seeks to its
+    sequence chunk via ``skip_bytes`` and runs its test group over each
+    sequence.  Returns a canonical JSON encoding of ``{test: {p_values,
+    dropped, reason}}`` — bytes, so the CRC receipt and the fault plan's
+    corruption injection act on it exactly like a generation payload.
+    Per-test timings land in the attempt's metrics scope.
     """
-    (
-        shard_id,
-        algorithm,
-        seed,
-        lanes,
-        seq_start,
-        n_seqs,
-        n_bits,
-        test_names,
-        fused,
-        clocks_per_call,
-        dtype_str,
-        plan_json,
-    ) = job
-    from repro.core.generator import BSRNG
     from repro.qa.registry import resolve_battery_plugin
-    from repro.robust.faults import FaultPlan
 
     # name -> plugin via the registry; ALL_TESTS stays the live primitive
     # (a runtime-patched entry resolves to the patched callable, exactly
     # as the historical dict lookup did)
     plugins = [resolve_battery_plugin(name) for name in test_names]
-
-    def produce() -> bytes:
-        out: dict[str, dict] = {
-            name: {"p_values": [], "dropped": 0, "reason": ""} for name in test_names
-        }
-        rng = BSRNG(
-            algorithm,
-            seed=seed,
-            lanes=lanes,
-            dtype=np.uint32 if dtype_str == "uint32" else np.uint64,
-            fused=fused,
-            clocks_per_call=clocks_per_call,
-        )
+    out: dict[str, dict] = {
+        name: {"p_values": [], "dropped": 0, "reason": ""} for name in test_names
+    }
+    with span("nist.shard", shard=shard_id):
+        rng = stream.make_rng()
         seq_bytes = -(-n_bits // 8)
         with span("nist.shard_seek", shard=shard_id, skip_bytes=seq_start * seq_bytes):
             rng.skip_bytes(seq_start * seq_bytes)
@@ -247,13 +230,10 @@ def _shard_worker(job, attempt: int = 0) -> tuple[bytes, int, dict, None]:
                         rec["reason"] = result.reason
                     continue
                 rec["p_values"].extend(result.p_values)
-        obs.inc("repro_nist_shard_sequences_total", n_seqs, shard=shard_id)
-        # canonical byte form: json round-trips Python floats exactly
-        # (shortest-repr), so the merged aggregates are bit-identical
-        return json.dumps(out, sort_keys=True).encode()
-
-    plan = FaultPlan.resolve(plan_json)
-    return worker_attempt(shard_id, attempt, plan, produce, span_name="nist.shard")
+    obs.inc("repro_nist_shard_sequences_total", n_seqs, shard=shard_id)
+    # canonical byte form: json round-trips Python floats exactly
+    # (shortest-repr), so the merged aggregates are bit-identical
+    return json.dumps(out, sort_keys=True).encode()
 
 
 def run_suite_sequential(
@@ -322,12 +302,13 @@ def run_suite_parallel(
     *names* (shard payloads must pickle; callables stay parent-side).
     ``timeout`` / ``max_retries`` / ``degrade_sequential`` are the
     :class:`~repro.robust.supervisor.SupervisorConfig` policy (every
-    shard's CRC receipt is checked on arrival); a hung or
-    crashed shard is retried on a fresh pool and ultimately degrades to
-    in-process execution rather than hanging the battery.  ``fault_plan``
-    threads a :class:`~repro.robust.faults.FaultPlan` into the shard
-    workers (shard ids are the partition ids), and the
-    ``REPRO_FAULT_PLAN`` env var reaches spawn-context workers too.
+    shard's CRC receipt is checked on arrival); a hung or crashed shard
+    is retried on another fleet member and ultimately degrades to
+    in-process execution rather than hanging the battery.  The fleet
+    never grows past *workers* members.  ``fault_plan`` threads a
+    :class:`~repro.robust.faults.FaultPlan` into the shard workers
+    (shard ids are the partition ids), and the ``REPRO_FAULT_PLAN`` env
+    var reaches spawn-context workers too.
     """
     if n_bits <= 0:
         raise SpecificationError("n_bits must be positive")
@@ -338,23 +319,13 @@ def run_suite_parallel(
         n_sequences, names, workers,
         seqs_per_shard=seqs_per_shard, test_groups=test_groups,
     )
-    dtype_str = "uint32" if np.dtype(dtype) == np.dtype(np.uint32) else "uint64"
-    plan_json = fault_plan.to_json() if fault_plan is not None else None
+    from repro.serve.engine import StreamConfig  # repro.serve builds on this package
+
+    stream = StreamConfig(
+        algorithm, seed, lanes, np.dtype(dtype).name, fused=fused, clocks_per_call=clocks_per_call
+    )
     jobs = {
-        s.shard_id: (
-            s.shard_id,
-            algorithm,
-            seed,
-            lanes,
-            s.seq_start,
-            s.n_seqs,
-            n_bits,
-            s.tests,
-            fused,
-            clocks_per_call,
-            dtype_str,
-            plan_json,
-        )
+        s.shard_id: (stream, s.shard_id, s.seq_start, s.n_seqs, n_bits, s.tests)
         for s in shards
     }
     config = SupervisorConfig(
@@ -363,7 +334,9 @@ def run_suite_parallel(
         degrade_sequential=degrade_sequential,
         processes=workers,
     )
-    supervisor = PartitionSupervisor(_shard_worker, mp_context, config)
+    supervisor = PartitionSupervisor(
+        _shard_body, mp_context, config, stream=stream, fault_plan=fault_plan
+    )
     t0 = time.perf_counter()
     with span(
         "nist.parallel_suite",

@@ -6,8 +6,8 @@ adds both layers to the reproduction:
 
 * :mod:`repro.robust.health` — streaming Repetition Count / Adaptive
   Proportion tests and the :class:`HealthMonitoredBSRNG` wrapper;
-* :mod:`repro.robust.supervisor` — retry/timeout/backoff/CRC supervision
-  for the multi-device partition fan-out;
+* :mod:`repro.robust.supervisor` — attempt-budget/timeout/CRC/degrade
+  supervision of partition fan-outs over an ephemeral worker fleet;
 * :mod:`repro.robust.faults` — a deterministic fault-injection harness
   exercising every recovery path without flakiness.
 """

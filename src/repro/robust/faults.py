@@ -7,26 +7,27 @@ seeded* so tests and benchmarks can exercise each recovery path of the
 supervisor and the health tests without flakiness.
 
 A :class:`FaultPlan` is a list of :class:`Fault` entries keyed by
-``(partition, attempt)``:
+``(partition, attempt)`` — a batch partition and its attempt number, or,
+for a chunk a fleet member serves, the member's worker id and job index:
 
 * ``crash``   — the worker raises before generating (a dead device).
 * ``delay``   — the worker sleeps ``delay`` seconds first (a hung
-  device; trips the supervisor's per-partition timeout).
+  device; trips the fleet's heartbeat deadline).
 * ``corrupt`` — ``corrupt_bytes`` bytes of the returned payload are
   XOR-flipped at seeded positions *after* the worker computed its CRC
   (a corrupted transfer; trips CRC verification).
 * ``stuck``   — the payload is replaced by a constant byte (a wedged
   bank; trips the Repetition Count Test when screened).
 
-Two *fleet-level* kinds model failure modes that only exist once workers
-are long-lived members with heartbeats (:mod:`repro.fleet`) rather than
-one-shot pool jobs.  Unlike the kinds above, they are **persistent**:
-they fire from their ``attempt`` (the worker's job index) *onward*,
-because a silent or bleeding worker stays that way until evicted:
+Two *fleet-level* kinds model failure modes of long-lived members with
+heartbeats (:mod:`repro.fleet`).  Unlike the kinds above, they are
+**persistent**: they fire from their ``attempt`` (the worker's job
+index) *onward*, because a silent or bleeding worker stays that way
+until evicted:
 
 * ``hb_silence``  — the worker stops sending heartbeats (but keeps
   working); the controller must evict on the liveness deadline and
-  reassign the lease, dropping any late result.
+  reassign the job, dropping any late result.
 * ``slow_bleed``  — every payload from this job on has
   ``corrupt_bytes`` seeded bytes flipped after the CRC is computed (a
   slowly failing transfer/DMA path; accumulates receipt strikes until
@@ -36,7 +37,7 @@ because a silent or bleeding worker stays that way until evicted:
   partition onward is AND-masked with ``bias_mask`` (default
   ``0xFE`` — the low bit of every byte forced to zero).  This models a
   *defective generator*, not a damaged transfer: the bytes verify
-  clean, retries reproduce them, and pool and fleet alike serve them.
+  clean, retries reproduce them, and the fleet serves them.
   Only the service latch's RCT/APT screen (for gross masks) or
   statistical QA (the ``repro serve --qa`` sidecar) flags them; nothing
   evicts or retries for them.
@@ -48,9 +49,10 @@ stream-range body (:func:`repro.serve.engine.range_attempt`: bias before
 the receipt).  They are activated either by constructor argument or by
 the ``REPRO_FAULT_PLAN`` environment variable (a JSON plan,
 :meth:`FaultPlan.resolve`), so a spawn-context worker with no shared
-memory still injects identically.  Because a pool-level entry fires only on its
-exact attempt number, every pool plan is finite: retried partitions
-eventually run clean and regenerate byte-identical output.  The
+memory still injects identically.  Because a crash/delay/corrupt/stuck
+entry fires only on its exact attempt number, every such plan is finite:
+retried partitions eventually run clean and regenerate byte-identical
+output.  The
 ``hb_silence`` and ``slow_bleed`` plans terminate differently — the
 fleet evicts the faulty member and reassigns its work to a clean peer.
 """

@@ -1,37 +1,35 @@
-"""Partition supervision: retry, timeout, backoff and verified receipt.
+"""Partition supervision: attempt budget, verified receipt, degrade.
 
 The paper's §5.4 scale-out is a straight ``pool.map`` — split the
-counter space, run every partition, concatenate.  That works only while
-every device always answers.  This supervisor wraps the same fan-out
-with the failure handling a production deployment needs:
+counter space, run every partition, concatenate — which works only while
+every device answers.  :class:`PartitionSupervisor` runs the fan-out as
+jobs on an ephemeral :class:`~repro.fleet.controller.FleetController`
+(the substrate that serves every daemon chunk), whose heartbeat deadline
+is the per-partition timeout and whose CRC receipt check turns a damaged
+transfer into a failed attempt.  On top it keeps the policy a batch job
+needs and the daemon does not:
 
-* a **per-partition timeout** — a hung device does not hang the job;
-* **retry with exponential backoff** — failed or timed-out partitions
-  are resubmitted on a fresh pool.  Each partition is a pure function of
-  ``(seed, start_block, n_blocks)``, so a retried partition regenerates
-  *byte-identical* data and the reconstructed stream is unaffected;
-* **CRC verification** — workers checksum their payload before
-  returning it (:func:`repro.crc.table_crc_bytes`); the supervisor
-  recomputes on receipt and treats a mismatch as a failed attempt;
-* **graceful degradation** — when the worker pool has exhausted its
-  retries, remaining partitions run in-process sequentially rather than
-  failing the job (disable with ``degrade_sequential=False`` to get a
-  :class:`~repro.errors.DeviceFailureError` instead).
+* **an attempt budget** — every requeue the fleet reports is one failed
+  attempt, recorded as a :class:`PartitionEvent`.  A partition is a pure
+  function of its arguments (``(seed, start_block, n_blocks)`` for a
+  stream range), so a retry regenerates *byte-identical* data;
+* **graceful degradation** — a partition that spent its attempts (or
+  every partition, once the fleet's eviction budget is spent) runs
+  in-process rather than failing the job (``degrade_sequential=False``
+  raises :class:`~repro.errors.DeviceFailureError` instead);
+* **the report** — events, attempts, wall times, worker metrics.
 
-Pool hygiene: every round builds its pool with ``maxtasksperchild=1`` so
-a worker process never serves two partitions — state corrupted by one
-attempt cannot leak into a retry — and tears the pool down with
-``terminate()`` in a ``finally`` block, so a ``KeyboardInterrupt``
-mid-round leaves no orphaned workers behind.
+A member runs one partition at a time, so a crash requeues only the
+partition that caused it; the fleet is closed in a ``finally`` block,
+so not even a ``KeyboardInterrupt`` leaves a worker behind.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-import multiprocessing as mp
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -40,11 +38,13 @@ from repro import obs
 from repro.core.ring import resolve_start_method
 from repro.crc import CRC32_IEEE, table_crc_bytes
 from repro.errors import DeviceFailureError, PartitionCorruptionError, SpecificationError
+from repro.obs import context as trace_context
 from repro.obs import flight
 from repro.obs.tracing import SpanCollector, span
 
 if TYPE_CHECKING:
     from repro.robust.faults import FaultPlan
+    from repro.serve.engine import StreamConfig
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +57,10 @@ __all__ = [
     "attempt_shell",
     "worker_attempt",
 ]
+
+#: A requeue's cause (:data:`repro.fleet.controller.EVICTION_REASONS`) →
+#: the failed attempt's event kind.
+_EVENT_KINDS = {"heartbeat": "timeout", "crash": "error", "corrupt": "corrupt"}
 
 
 def payload_crc(payload: bytes | np.ndarray) -> int:
@@ -92,9 +96,9 @@ def attempt_shell(
 
     ``produce`` returns ``bytes`` or an ndarray; the receipt is always
     one cold :func:`payload_crc` pass over it.  No metrics scope: a
-    fleet member calls this directly (it collects into one registry of
-    its own and ships it with its heartbeats); every other worker goes
-    through :func:`worker_attempt`.
+    served chunk runs in here directly (its member collects into one
+    registry of its own and ships it with its heartbeats); a partition
+    attempt goes through :func:`worker_attempt`.
     """
     if plan is not None:
         plan.pre_generate(partition, attempt)
@@ -141,18 +145,14 @@ class SupervisorConfig:
     """Retry/timeout/degrade policy for one generation job (the CRC
     receipt of every result is always checked)."""
 
-    timeout: float | None = None  # seconds per partition round; None = wait forever
-    max_retries: int = 2  # pool rounds after the first (attempts = 1 + max_retries)
-    backoff_base: float = 0.05  # sleep before retry round r: base * factor**(r-1)
-    backoff_factor: float = 2.0
+    #: The fleet's heartbeat deadline, seconds; ``None`` = none (a dead
+    #: worker is still caught by its carrier).
+    timeout: float | None = None
+    max_retries: int = 2  # fleet attempts after the first (attempts = 1 + max_retries)
     degrade_sequential: bool = True
-    maxtasksperchild: int | None = 1
-    #: Pool size cap.  ``None`` (the historical behaviour) sizes each
-    #: round's pool to the number of pending partitions — right when a
-    #: partition models a physical device.  Shard-style jobs (many more
-    #: work units than cores, e.g. the parallel NIST battery) set an
-    #: explicit worker count; queued shards then share the capped pool
-    #: and the round deadline scales by the resulting number of waves.
+    #: Worker cap.  ``None`` runs one worker per partition — right when
+    #: a partition models a physical device; shard-style jobs (the
+    #: parallel NIST battery) cap it and queued shards wait for a worker.
     processes: int | None = None
 
     def __post_init__(self) -> None:
@@ -160,14 +160,8 @@ class SupervisorConfig:
             raise SpecificationError("timeout must be positive (or None)")
         if self.max_retries < 0:
             raise SpecificationError("max_retries must be non-negative")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise SpecificationError("need backoff_base >= 0 and backoff_factor >= 1")
         if self.processes is not None and self.processes <= 0:
             raise SpecificationError("processes must be positive (or None)")
-
-    def backoff(self, round_index: int) -> float:
-        """Sleep before retry round *round_index* (1-based)."""
-        return self.backoff_base * self.backoff_factor ** (round_index - 1)
 
 
 @dataclass
@@ -216,63 +210,64 @@ class SupervisorReport:
 
 
 class PartitionSupervisor:
-    """Run partition jobs through a worker pool with failure recovery.
+    """Run partition jobs on an ephemeral worker fleet with failure recovery.
 
     Parameters
     ----------
-    worker:
-        A picklable module-level function ``worker(payload, attempt) ->
-        (result, crc, metrics_or_None, spans_or_None)`` — the
-        :func:`worker_attempt` result shape; a result whose receipt does
-        not match its bytes is a failed attempt.  The attempt number is
-        threaded through so deterministic fault plans can key on it.
+    body:
+        A picklable module-level function: a job's ``args`` run as
+        ``body(*args)`` → ``bytes`` or an ndarray.  ``None``: every job
+        is a stream range, ``args = (offset, length)`` of *stream*.
     mp_context:
         ``"fork"`` / ``"spawn"`` / ``None`` (auto: fork where available).
         Anything but a start-method name is rejected, so a policy passed
         positionally here cannot be silently dropped.
     config:
         The :class:`SupervisorConfig` policy.
+    stream:
+        The :class:`~repro.serve.engine.StreamConfig` range jobs draw
+        from (its kernel is imported before any worker forks).
+    fault_plan:
+        :class:`~repro.robust.faults.FaultPlan` keyed by ``(partition,
+        attempt)``; ``None`` falls back to ``REPRO_FAULT_PLAN``.
     """
 
     def __init__(
         self,
-        worker: Callable[[Any, int], tuple[Any, int, dict | None, dict | None]],
+        body: Callable[..., Any] | None = None,
         mp_context: str | None = None,
         config: SupervisorConfig | None = None,
+        *,
+        stream: StreamConfig | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
-        self.worker = worker
+        self.body = body
         if mp_context is not None and not isinstance(mp_context, str):
             raise SpecificationError(
                 f"mp_context must be a start-method name or None, not {type(mp_context).__name__}"
             )
         self.mp_context = resolve_start_method(mp_context)
         self.config = config or SupervisorConfig()
+        self.stream = stream
+        self.fault_plan = fault_plan
         self.report = SupervisorReport()
         self._job_t0 = time.monotonic()
-        #: Optional payload materialiser, applied to every worker result
-        #: before CRC verification.  Ring-aware callers install
-        #: :meth:`repro.core.ring.SharedMemoryRing.resolve` here so
-        #: shared-memory slot refs become bytes exactly once, in the
-        #: parent — and a torn slot write fails verification the same
-        #: way a corrupted pickled payload would.
-        self.resolve: Callable[[Any], Any] | None = None
 
-    def _materialise(self, result: Any) -> Any:
-        return result if self.resolve is None else self.resolve(result)
+    def _job(self, pid: int, args: tuple, wire: tuple | None):
+        from repro.fleet.transport import ChunkJob
+
+        if self.body is None:  # args = (offset, length)
+            return ChunkJob(pid, *args, trace=wire, partition=pid)
+        return ChunkJob(pid, trace=wire, body=self.body, args=tuple(args), partition=pid)
 
     # -- attempt bookkeeping -----------------------------------------------------
-    def _accepted(
-        self, pid: int, metrics: dict | None, spans: dict | None = None
-    ) -> None:
-        """Book-keeping for one accepted partition result."""
+    def _accepted(self, pid: int, metrics: dict | None) -> None:
+        """Book-keeping for one accepted partition result.  Its spans are
+        home already: merged by the fleet, or recorded in-process."""
         wall = time.monotonic() - self._job_t0
         self.report.partition_wall[pid] = wall
         if metrics is not None:
             self.report.worker_metrics[pid] = metrics
-        if spans is not None:
-            tracer = obs.active_tracer()
-            if tracer is not None:
-                tracer.merge(spans, extra_args={"partition": pid})
         obs.observe("repro_supervisor_partition_seconds", wall)
 
     def _failed(self, pid: int, event: PartitionEvent) -> None:
@@ -294,25 +289,20 @@ class PartitionSupervisor:
         )
 
     def _settle(self, pid: int, attempt: int, get: Callable[[], tuple], results: dict) -> bool:
-        """Collect one attempt's result, verify its receipt, accept it.
+        """Run one in-process attempt, verify its receipt, accept it.
 
-        A timeout, a worker exception or a CRC mismatch is recorded as a
-        failed attempt instead; returns whether the result was accepted.
+        A raised exception or a CRC mismatch is recorded as a failed
+        attempt instead; returns whether the result was accepted.
         """
         try:
-            result, crc, metrics, spans = get()
-            result = self._materialise(result)
-        except mp.TimeoutError:
-            event = PartitionEvent(
-                pid, attempt, "timeout", f"no result within {self.config.timeout}s"
-            )
+            result, crc, metrics, _ = get()
         except Exception as exc:  # worker raised (crash, bad state, ...)
             event = PartitionEvent(pid, attempt, "error", f"{type(exc).__name__}: {exc}")
         else:
             got = payload_crc(result)
             if got == crc:
                 results[pid] = result
-                self._accepted(pid, metrics, spans)
+                self._accepted(pid, metrics)
                 return True
             event = PartitionEvent(
                 pid,
@@ -330,58 +320,89 @@ class PartitionSupervisor:
         if n > 1:
             obs.inc("repro_supervisor_retries_total")
 
-    # -- pool round --------------------------------------------------------------
-    def _run_round(self, pending: dict[int, Any], results: dict[int, Any], attempt: int) -> None:
-        """One pool pass over every pending partition."""
+    # -- the fleet ---------------------------------------------------------------
+    def _run_fleet(self, jobs: dict[int, Any], results: dict[int, Any]) -> None:
+        """Run *jobs* on an ephemeral fleet until each is accepted or has
+        spent its ``1 + max_retries`` attempts, or the fleet is exhausted."""
+        from repro.fleet.controller import FleetConfig, FleetController
+
         cfg = self.config
-        ctx = mp.get_context(self.mp_context)
-        procs = len(pending) if cfg.processes is None else min(cfg.processes, len(pending))
-        pool = ctx.Pool(processes=procs, maxtasksperchild=cfg.maxtasksperchild)
+        n = min(cfg.processes or len(jobs), len(jobs))
+        timeout = cfg.timeout or math.inf
+        spent: set[int] = set()
+
+        def requeued(job, cause: str, detail: str) -> bool:
+            pid = job.partition
+            self._failed(pid, PartitionEvent(pid, job.attempt, _EVENT_KINDS[cause], detail))
+            if job.attempt >= cfg.max_retries:
+                spent.add(pid)
+                return False
+            self._bump(pid)
+            return True
+
+        fleet = FleetController(
+            self.stream,
+            FleetConfig(
+                workers=n,
+                min_workers=n,
+                max_workers=n,
+                # a member heartbeats only to beat a deadline
+                heartbeat_interval=min(1.0, timeout / 4) if cfg.timeout else math.inf,
+                heartbeat_timeout=timeout,
+                # the result ring's slot size: the largest range partition
+                chunk_bytes=max((j.length for j in jobs.values() if j.body is None), default=1),
+                max_inflight_per_worker=1,
+                mp_context=self.mp_context,
+            ),
+            fault_plan=self.fault_plan,
+            on_requeue=requeued,
+        )
+        period = min(fleet.config.heartbeat_interval / 2.0, 0.05)
         try:
-            handles = {
-                pid: pool.apply_async(self.worker, (payload, attempt))
-                for pid, payload in pending.items()
-            }
-            deadline = None
-            if cfg.timeout is not None:
-                # with a capped pool the pending partitions drain in
-                # waves; a queued partition must not be charged for the
-                # wait behind partitions that ran first
-                waves = -(-len(pending) // procs)
-                deadline = time.monotonic() + cfg.timeout * waves
-            for pid, handle in handles.items():
+            # every member up before any job goes out: each partition
+            # starts on a worker of its own, as on a device of its own
+            fleet.start(supervise=False)
+            while not fleet.exhausted() and sum(
+                m.state == "live" for m in fleet.members.values()
+            ) < n:
+                fleet.pump(period)
+            submitted = dict(zip(jobs, fleet.submit(jobs.values())))
+            for pid in submitted:
                 self._bump(pid)
-                wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-                self._settle(pid, attempt, functools.partial(handle.get, wait), results)
-            for pid in results:
-                pending.pop(pid, None)
+            while submitted.keys() - spent and not fleet.exhausted():
+                fleet.pump(period)
+                for pid, job in list(submitted.items()):
+                    got = fleet.take(job)
+                    if got is not None:
+                        del submitted[pid]
+                        results[pid] = got[0]
+                        self._accepted(pid, got[1])
         finally:
-            # terminate (not close): hung or slow workers must die with the
-            # round, including on KeyboardInterrupt — no orphaned processes.
-            pool.terminate()
-            pool.join()
+            # kill, not drain: hung or slow members die with the job,
+            # including on KeyboardInterrupt — no orphaned processes
+            fleet.close()
 
     # -- in-process path ---------------------------------------------------------
-    def _run_inline(
-        self,
-        pending: dict[int, Any],
-        results: dict[int, Any],
-        first_attempt: int,
-    ) -> None:
-        """Sequential in-process execution with the same retry policy.
+    def _run_inline(self, pending: dict[int, Any], results: dict[int, Any]) -> None:
+        """Run *pending* in-process, in order, under the same attempt
+        budget, each partition continuing from the attempts it used.
 
-        Used for ``parallel=False`` jobs and as the degraded fallback
-        once the worker pool is exhausted.  Timeouts cannot be enforced
-        in-process; errors and CRC failures still consume attempts.
+        The ``parallel=False`` path and the degraded fallback.  Timeouts
+        cannot be enforced in-process; errors and CRC failures still
+        consume attempts.
         """
-        cfg = self.config
+        from repro.fleet.worker import run_job
+        from repro.robust.faults import FaultPlan
+        from repro.serve.engine import RangeSource, StreamConfig
+
+        plan = self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
+        source = RangeSource(self.stream or StreamConfig(), max_streams=1)
         for pid in sorted(pending):
-            for attempt in range(first_attempt, first_attempt + cfg.max_retries + 1):
+            first = self.report.attempts.get(pid, 0)
+            for attempt in range(first, first + self.config.max_retries + 1):
                 self._bump(pid)
-                if attempt > first_attempt:
-                    time.sleep(cfg.backoff(attempt - first_attempt))
-                job = functools.partial(self.worker, pending[pid], attempt)
-                if self._settle(pid, attempt, job, results):
+                job = replace(pending[pid], attempt=attempt)
+                if self._settle(pid, attempt, lambda: run_job(job, plan, source), results):
                     break
             else:
                 last = self.report.events[-1]  # this partition's final failure
@@ -392,47 +413,43 @@ class PartitionSupervisor:
                         f"partition {pid} failed every attempt (last: {last.detail})"
                     )
                 )
-        for pid in results:
-            pending.pop(pid, None)
 
     # -- entry point -------------------------------------------------------------
     def run(self, jobs: dict[int, Any], parallel: bool = True) -> dict[int, Any]:
-        """Complete every job; returns ``{partition_id: result}``.
+        """Complete every job ``{partition_id: args}``; returns
+        ``{partition_id: result}``.
 
         Raises :class:`DeviceFailureError` only when a partition fails
-        every pool attempt *and* every degraded in-process attempt (or
+        every fleet attempt *and* every degraded in-process attempt (or
         degradation is disabled).
         """
         self.report = SupervisorReport()
         self._job_t0 = time.monotonic()
         results: dict[int, Any] = {}
-        pending = dict(jobs)
+        # worker spans hang off the caller's span, wherever they run
+        wire = trace_context.current_wire() if obs.active_tracer() else None
+        pending = {pid: self._job(pid, args, wire) for pid, args in jobs.items()}
+        if not (parallel and len(pending) > 1):
+            self._run_inline(pending, results)
+            return results
+        with span("supervisor.fleet", partitions=len(pending)):
+            self._run_fleet(pending, results)
+        for pid in results:
+            del pending[pid]
         if not pending:
             return results
-        cfg = self.config
-        if parallel and len(pending) > 1:
-            for round_index in range(cfg.max_retries + 1):
-                if round_index > 0:
-                    time.sleep(cfg.backoff(round_index))
-                with span("supervisor.round", round=round_index, partitions=len(pending)):
-                    self._run_round(pending, results, attempt=round_index)
-                if not pending:
-                    return results
-            if not cfg.degrade_sequential:
-                pid = min(pending)
-                last = [e for e in self.report.events if e.partition == pid]
-                raise DeviceFailureError(
-                    f"partition {pid} failed {self.report.attempts.get(pid, 0)} pool attempts"
-                    + (f" (last: {last[-1].kind}: {last[-1].detail})" if last else "")
-                )
-            self.report.degraded = True
-            obs.inc("repro_supervisor_degraded_jobs_total")
-            for pid in sorted(pending):
-                self.report.record(
-                    PartitionEvent(pid, cfg.max_retries + 1, "degraded", "pool exhausted; running in-process")
-                )
-            with span("supervisor.degraded", partitions=len(pending)):
-                self._run_inline(pending, results, first_attempt=cfg.max_retries + 1)
-        else:
-            self._run_inline(pending, results, first_attempt=0)
+        if not self.config.degrade_sequential:
+            pid = min(pending)
+            last = [e for e in self.report.events if e.partition == pid]
+            raise DeviceFailureError(
+                f"partition {pid} failed {self.report.attempts.get(pid, 0)} fleet attempts"
+                + (f" (last: {last[-1].kind}: {last[-1].detail})" if last else "")
+            )
+        self.report.degraded = True
+        obs.inc("repro_supervisor_degraded_jobs_total")
+        for pid in sorted(pending):
+            attempts = self.report.attempts[pid]
+            self.report.record(PartitionEvent(pid, attempts, "degraded", "running in-process"))
+        with span("supervisor.degraded", partitions=len(pending)):
+            self._run_inline(pending, results)
         return results

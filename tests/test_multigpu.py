@@ -191,8 +191,8 @@ class TestSpawnContext:
         )
 
     def test_spawn_crash_recovery(self):
-        # retry rounds build fresh spawn pools; the fault plan travels in
-        # the pickled job payload, not shared memory
+        # the crashed member is replaced by a fresh spawn member; the
+        # fault plan travels in its pickled spec, not shared memory
         from repro.robust.faults import Fault, FaultPlan
 
         plan = FaultPlan((Fault("crash", 1, 0),))

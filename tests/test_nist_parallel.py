@@ -236,3 +236,21 @@ class TestTelemetry:
         timed = [e for e in entries if e["name"] == "repro_nist_test_seconds"]
         assert timed, names
         assert all("shard" in e["labels"] and "test" in e["labels"] for e in timed)
+
+    def test_fleet_never_outgrows_its_workers(self):
+        # eight shards queue for two members: the battery's fleet keeps
+        # its target, never scales, and launches no third member
+        with obs.scoped() as reg:
+            run_suite_parallel(
+                "mickey2", seed=7, lanes=128, n_sequences=8, n_bits=1000,
+                tests=("Frequency",), workers=2, seqs_per_shard=1,
+            )
+            entries = reg.snapshot()["metrics"]
+
+        def values(name):
+            return [e["value"] for e in entries if e["name"] == name]
+
+        assert values("repro_fleet_jobs_total") == [8]
+        assert values("repro_fleet_scale_events_total") == []
+        assert values("repro_fleet_target_workers") == [2]
+        assert sum(values("repro_fleet_workers")) == 2  # members ever launched

@@ -230,7 +230,7 @@ class TestRingLifecycle:
             "    finally:\n"
             "        engine.close()\n"
             "    gen = MultiDeviceGenerator('trivium', seed=7, lanes=128, n_devices=2,\n"
-            "                               block_bytes=4096, mp_context='fork')\n"
+            "                               block_bytes=16384, mp_context='fork')\n"
             "    gen.generate(4)\n"
             "    ring = sum(e['value'] for e in reg.snapshot()['metrics']\n"
             "               if e['name'] == 'repro_ring_payload_bytes_total')\n"
@@ -241,18 +241,19 @@ class TestRingLifecycle:
         )
         assert out.returncode == 0, out.stderr
         ring_bytes, tracker = out.stdout.split()
-        assert int(ring_bytes) == 65536 + 65536 + 4 * 4096
+        assert int(ring_bytes) == 65536 + 65536 + 4 * 16384
         assert tracker == "None"
 
 
 # -- multi-device zero-pickle path ---------------------------------------------------
 def _multidevice(ctx: str, **kw) -> MultiDeviceGenerator:
+    # 16 KiB blocks: every partition (two or more blocks) is ring-eligible
     return MultiDeviceGenerator(
         "trivium",
         seed=7,
         lanes=128,
         n_devices=2,
-        block_bytes=4096,
+        block_bytes=16384,
         mp_context=ctx,
         **kw,
     )

@@ -1,5 +1,8 @@
-"""Partition supervisor: crash/hang/corruption recovery, backoff policy,
-degradation, and the supervised multi-device equivalence guarantees."""
+"""Partition supervisor: crash/hang/corruption recovery on its fleet,
+the attempt budget, degradation, and the supervised multi-device
+equivalence guarantees."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,12 +16,7 @@ from repro.robust.supervisor import PartitionSupervisor, SupervisorConfig, paylo
 class TestConfig:
     def test_defaults(self):
         cfg = SupervisorConfig()
-        assert cfg.timeout is None and cfg.max_retries == 2 and cfg.maxtasksperchild == 1
-
-    def test_backoff_is_exponential(self):
-        cfg = SupervisorConfig(backoff_base=0.1, backoff_factor=2.0)
-        assert cfg.backoff(1) == pytest.approx(0.1)
-        assert cfg.backoff(3) == pytest.approx(0.4)
+        assert cfg.timeout is None and cfg.max_retries == 2
 
     def test_invalid_rejected(self):
         with pytest.raises(SpecificationError):
@@ -26,7 +24,7 @@ class TestConfig:
         with pytest.raises(SpecificationError):
             SupervisorConfig(max_retries=-1)
         with pytest.raises(SpecificationError):
-            SupervisorConfig(backoff_factor=0.5)
+            SupervisorConfig(processes=0)
 
 
 class TestPayloadCrc:
@@ -114,6 +112,24 @@ class TestDegradation:
         with pytest.raises(DeviceFailureError):
             gen.generate(6, parallel=True)
 
+    def test_poison_partition_degrades_alone_and_leaves_no_worker(self):
+        # partition 1 crashes on every fleet attempt: it alone runs
+        # in-process, its peers are accepted from the fleet, and no
+        # member outlives generate()
+        plan = FaultPlan(tuple(Fault("crash", 1, a) for a in range(3)))
+        gen = _mk(fault_plan=plan, max_retries=2)
+        assert gen.generate(6, parallel=True) == gen.sequential_reference(6)
+        assert [p.outcome for p in gen.last_report.partitions] == ["ok", "degraded", "ok"]
+        assert gen.last_report.attempts == {0: 1, 1: 4, 2: 1}
+        assert multiprocessing.active_children() == []
+
+    def test_poison_partition_without_degrade_leaves_no_worker(self):
+        plan = FaultPlan(tuple(Fault("crash", 1, a) for a in range(3)))
+        gen = _mk(fault_plan=plan, max_retries=2, degrade_sequential=False)
+        with pytest.raises(DeviceFailureError):
+            gen.generate(6, parallel=True)
+        assert multiprocessing.active_children() == []
+
     def test_unrecoverable_fault_raises_even_inline(self):
         # crash on every attempt the policy allows, parallel and inline
         plan = FaultPlan(tuple(Fault("crash", 1, a) for a in range(10)))
@@ -146,12 +162,12 @@ class TestEmptyJobs:
             _mk().generate(-1)
 
     def test_supervisor_empty_jobs(self):
-        sup = PartitionSupervisor(lambda payload, attempt: (payload, None, None, None))
+        sup = PartitionSupervisor(bytes)
         assert sup.run({}, parallel=True) == {}
 
     def test_non_str_mp_context_rejected(self):
         with pytest.raises(SpecificationError):
-            PartitionSupervisor(lambda payload, attempt: None, SupervisorConfig())
+            PartitionSupervisor(bytes, SupervisorConfig())
 
 
 class TestLanePartitionedSupervision:
@@ -196,14 +212,14 @@ class TestFailureWallTimes:
         assert all(p.wall_s is not None for p in gen.last_report.partitions)
 
     def test_unrecoverable_partition_still_timed(self):
-        def worker(payload, attempt):
+        def body(payload):
             raise RuntimeError("boom")
 
         sup = PartitionSupervisor(
-            worker, config=SupervisorConfig(max_retries=1, degrade_sequential=False)
+            body, config=SupervisorConfig(max_retries=1, degrade_sequential=False)
         )
         with pytest.raises(DeviceFailureError):
-            sup.run({7: b"x"}, parallel=False)
+            sup.run({7: (b"x",)}, parallel=False)
         assert sup.report.attempts[7] == 2  # the policy's one retry, not the default two
         # the partition never delivered, but its failure wall is recorded
         assert 7 in sup.report.partition_wall

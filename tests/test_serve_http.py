@@ -219,6 +219,18 @@ class TestOperationalEndpoints:
         assert doc["engine"]["health"]["healthy"] is True
 
 
+class TestLeaseAccounting:
+    def test_only_requests_count_as_leases(self):
+        # three 8 KiB requests become twelve 2 KiB fleet jobs; the
+        # daemon's lease series count the three requests, not the jobs
+        with running_daemon(workers=1, chunk_bytes=2048) as (_, base):
+            leases = obs.registry().counter("repro_serve_leases_total")
+            before = leases.value
+            for _ in range(3):
+                assert get(f"{base}/v1/bytes?n=8192")[0] == 200
+            assert leases.value - before == 3
+
+
 class TestLoadgenClient:
     def test_run_load_round_trip(self, daemon):
         _, base = daemon
