@@ -135,8 +135,8 @@ def main(argv=None) -> int:
     assert counters["evictions"] >= 2, (
         f"chaos drill must evict both saboteurs, saw {counters['evictions']}"
     )
-    assert chaos_status["leases"]["high_water_bytes"] >= n_bytes, (
-        "lease space must account for every dispatched byte"
+    assert counters["jobs_completed"] + counters["degraded_chunks"] == n_chunks, (
+        "every chunk must be accepted exactly once, from a member or inline"
     )
     chaos_gbps = n_bytes * 8 / chaos_wall / 1e9
     print(
