@@ -241,19 +241,14 @@ class BitslicedAESCTR:
         self.engine.counter.add("or_", n_batches * 10 * 16 * self._sbox_gates["or"])
         self.engine.counter.add("not_", n_batches * 10 * 16 * self._sbox_gates["not"])
 
-    def next_planes(
-        self, n_rows: int, *, out: np.ndarray | None = None, epilogue=None
-    ) -> np.ndarray:
+    def next_planes(self, n_rows: int, *, out: np.ndarray | None = None) -> np.ndarray:
         """Emit ``(n_rows, n_words)`` keystream planes (multiples of 128
         are generated; the tail batch is truncated).
 
         With ``engine.fused`` the batches come from the compiled kernel
         (in-place S-box circuit, view-based rounds) — bit-identical.  An
         explicit *out* must hold the whole-batch row count (``n_rows``
-        rounded up to :attr:`rows_granularity`).  *epilogue* (the
-        single-touch hook) sees exactly the emitted ``out[:n_rows]``
-        view — rows generated beyond a truncated tail batch are never
-        part of the stream, so they are not accounted either.
+        rounded up to :attr:`rows_granularity`).
         """
         self._require_loaded()
         batches = -(-n_rows // 128)
@@ -268,13 +263,9 @@ class BitslicedAESCTR:
 
             fused_generate(self, "aes128ctr", batches, out)
             self._count_batch_gates(batches)
-            if epilogue is not None:
-                epilogue(out[:n_rows])
             return out[:n_rows]
         for i in range(batches):
             out[128 * i : 128 * (i + 1)] = self.next_block_planes()
-        if epilogue is not None:
-            epilogue(out[:n_rows])
         return out[:n_rows]
 
     def keystream_bytes_per_lane(self, n_blocks: int) -> np.ndarray:

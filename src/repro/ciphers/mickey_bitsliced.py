@@ -187,18 +187,14 @@ class BitslicedMickey2:
         self._require_loaded()
         return self.R[0] ^ self.S[0]
 
-    def next_planes(
-        self, n_rows: int, *, out: np.ndarray | None = None, epilogue=None
-    ) -> np.ndarray:
+    def next_planes(self, n_rows: int, *, out: np.ndarray | None = None) -> np.ndarray:
         """Emit ``(n_rows, n_words)`` keystream planes (row = one clock).
 
         Output rows pass through the engine's staging buffer, mirroring
         the shared-memory write path of §4.5.  An explicit *out* (any
         writable ``(>= n_rows, n_words)`` array or view — the threaded
         lane-bank passes column slices of a shared buffer) is filled in
-        place and returned instead of a fresh allocation.  *epilogue*
-        (the single-touch hook) sees every emitted row exactly once, in
-        stream order.
+        place and returned instead of a fresh allocation.
         """
         self._require_loaded()
         if out is None:
@@ -206,7 +202,7 @@ class BitslicedMickey2:
         if getattr(self.engine, "fused", False):
             from repro.codegen.fused import fused_generate
 
-            fused_generate(self, "mickey2", n_rows, out, epilogue=epilogue)
+            fused_generate(self, "mickey2", n_rows, out)
             for kind, n in self._gates_per_clock.items():
                 self.engine.counter.add(kind, n * n_rows)
             return out
@@ -217,8 +213,6 @@ class BitslicedMickey2:
             self._clock_kg(self._zero, mixing=False)
             row = stage.push(z, out, row)
         stage.drain(out, row)
-        if epilogue is not None:
-            epilogue(out[:n_rows])
         return out
 
     def keystream_bits(self, n_bits: int) -> np.ndarray:

@@ -114,17 +114,12 @@ class BitslicedTrivium:
         if not self._loaded:
             raise KeyScheduleError("cipher bank must be loaded/seeded before generating")
 
-    def next_planes(
-        self, n_rows: int, *, out: np.ndarray | None = None, epilogue=None
-    ) -> np.ndarray:
+    def next_planes(self, n_rows: int, *, out: np.ndarray | None = None) -> np.ndarray:
         """Emit ``(n_rows, n_words)`` keystream planes via the staging buffer.
 
         With ``engine.fused`` the rows come from the compiled K-clock
         kernel (bit-identical stream, same gate accounting).  An explicit
-        *out* array/view is filled in place and returned.  *epilogue*
-        (the single-touch hook) sees every emitted row exactly once, in
-        stream order — per K-clock block on the fused path, one call on
-        the interpreter path.
+        *out* array/view is filled in place and returned.
         """
         self._require_loaded()
         if out is None:
@@ -132,7 +127,7 @@ class BitslicedTrivium:
         if getattr(self.engine, "fused", False):
             from repro.codegen.fused import fused_generate
 
-            fused_generate(self, "trivium", n_rows, out, epilogue=epilogue)
+            fused_generate(self, "trivium", n_rows, out)
             for kind, n in _GATES_PER_CLOCK.items():
                 if n:
                     self.engine.counter.add(kind, n * n_rows)
@@ -142,8 +137,6 @@ class BitslicedTrivium:
         for _ in range(n_rows):
             row = stage.push(self._clock_plane(), out, row)
         stage.drain(out, row)
-        if epilogue is not None:
-            epilogue(out[:n_rows])
         return out
 
     def keystream_bits(self, n_bits: int) -> np.ndarray:

@@ -178,7 +178,7 @@ def _context_for(bank, kernel: FusedKernel) -> dict:
 
 
 def fused_generate(
-    bank, cipher: str, n_clocks: int, out: np.ndarray, base: int = 0, epilogue=None
+    bank, cipher: str, n_clocks: int, out: np.ndarray, base: int = 0
 ) -> None:
     """Advance *bank* by ``n_clocks`` clocks through fused kernels.
 
@@ -186,27 +186,16 @@ def fused_generate(
     one tail kernel, so any row count is served without overshooting the
     cipher state.  Writes ``n_clocks * rows_per_clock`` rows into *out*
     starting at row *base*.
-
-    *epilogue*, when given, is called after every kernel call with the
-    just-written row block (a contiguous 2D view of *out*) — the
-    single-touch hook: CRC receipts and bit censuses fold in while the
-    block is still cache-hot instead of re-reading it cold later
-    (:class:`repro.core.touch.StreamTouch`).  Blocks arrive in stream
-    order, so chunked accounting equals whole-stream accounting.
     """
     engine = bank.engine
     K = max(1, int(getattr(engine, "clocks_per_call", DEFAULT_CLOCKS_PER_CALL)))
     done = 0
     calls = 0
-    rows_per_clock = 1
     while done < n_clocks:
         k = min(K, n_clocks - done)
         kernel = get_kernel(cipher, engine.dtype, k)
-        rows_per_clock = kernel.rows_per_clock
         ctx = _context_for(bank, kernel)
-        kernel.fn(bank, out, base + done * rows_per_clock, ctx)
-        if epilogue is not None:
-            epilogue(out[base + done * rows_per_clock : base + (done + k) * rows_per_clock])
+        kernel.fn(bank, out, base + done * kernel.rows_per_clock, ctx)
         done += k
         calls += 1
     if obs.metrics_enabled():

@@ -216,9 +216,6 @@ class _PlaneSource:
 
     def __init__(self, bank) -> None:
         self.bank = bank
-        #: Single-touch hook: called with every emitted plane block while
-        #: it is still cache-hot (per K-clock block on the fused path).
-        self.epilogue = None
         self._rows_per_refill = max(64, bank.engine.stage_rows)
         # keep refills 8-byte aligned so the uint64 view below is exact
         itemsize = bank.engine.dtype.itemsize
@@ -227,7 +224,7 @@ class _PlaneSource:
 
     def next_words(self) -> np.ndarray:
         """The next refill of the word stream."""
-        planes = self.bank.next_planes(self._rows_per_refill, epilogue=self.epilogue)
+        planes = self.bank.next_planes(self._rows_per_refill)
         flat = np.ascontiguousarray(planes).view(np.uint8).ravel()
         return flat.view(np.uint64)
 
@@ -257,10 +254,6 @@ class _WordSource:
 
     def __init__(self, bank) -> None:
         self.bank = bank
-        #: Single-touch hook: called with each refill right after it is
-        #: produced (baseline banks have no kernel epilogue to ride, so
-        #: the refill itself is the hot window).
-        self.epilogue = None
         self._words_per_refill = 4096
         # counter-based banks (Philox, ChaCha20) expose block-granular
         # skipahead; refills round up to whole blocks, so the effective
@@ -283,14 +276,10 @@ class _WordSource:
         raw = self.bank.next_words(self._words_per_refill)
         raw = np.ascontiguousarray(raw)
         if raw.dtype == np.uint64:
-            words = raw.ravel()
-        else:
-            flat = raw.view(np.uint8).ravel()
-            usable = flat.size - flat.size % 8
-            words = flat[:usable].view(np.uint64)
-        if self.epilogue is not None:
-            self.epilogue(words)
-        return words
+            return raw.ravel()
+        flat = raw.view(np.uint8).ravel()
+        usable = flat.size - flat.size % 8
+        return flat[:usable].view(np.uint64)
 
     def gates_per_output_bit(self) -> float:
         """Logic cost per emitted bit (NaN when not modelled)."""
@@ -381,7 +370,6 @@ class BSRNG:
         self.prefetch = bool(prefetch)
         self.threads = int(threads)
         self._reseed_count = 0
-        self._tap = None  # generation-time single-touch hook (see attach_generation_tap)
         self._source = factory(
             self.seed, self.lanes, dtype, self.fused, self.clocks_per_call, self.threads
         )
@@ -416,7 +404,6 @@ class BSRNG:
             self._source = factory(
                 self.seed, self.lanes, self._dtype, self.fused, self.clocks_per_call, self.threads
             )
-            self._source.epilogue = self._tap  # the tap outlives the bank it watched
             self._buf = np.zeros(0, dtype=np.uint8)
             self._pos = 0
             self._refills = 0
@@ -610,22 +597,6 @@ class BSRNG:
             touch = StreamTouch()
         data = self._take_bytes(n, touch=touch)
         return data.tobytes(), touch.receipt()
-
-    def attach_generation_tap(self, fn) -> None:
-        """Install *fn* as the source's single-touch epilogue (None detaches).
-
-        *fn* is called with every refill block as it is generated — on
-        the fused paths per compiled K-clock kernel call, while the
-        block is cache-hot — before the bytes ever reach the draw
-        buffer.  The health layer uses this for its continuous bit
-        census of raw source output.  A refill already in flight on the
-        prefetch worker keeps the hook it was started with; taps cover
-        refills that *begin* after attachment.  The tap survives
-        :meth:`reseed`.
-        """
-        with self.lock:
-            self._tap = fn
-            self._source.epilogue = fn
 
     def random_bits(self, n: int) -> np.ndarray:
         """*n* bits as a uint8 0/1 array (little bit order of the stream)."""

@@ -132,17 +132,8 @@ class ThreadedLaneBank:
             )
         return self._pool[1]
 
-    def next_planes(
-        self, n_rows: int, *, out: np.ndarray | None = None, epilogue=None
-    ) -> np.ndarray:
-        """Emit ``(n_rows, n_words)`` keystream planes, columns in parallel.
-
-        The single-touch *epilogue* runs once over the completed refill
-        rather than per sub-bank: the byte stream interleaves all column
-        ranges row by row, so per-column accounting would observe the
-        bytes out of stream order.  The refill is still cache-resident
-        when the hook runs — the barrier above it is the last writer.
-        """
+    def next_planes(self, n_rows: int, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Emit ``(n_rows, n_words)`` keystream planes, columns in parallel."""
         if n_rows < 0:
             raise SpecificationError("n_rows must be non-negative")
         gran = self.rows_granularity
@@ -155,8 +146,6 @@ class ThreadedLaneBank:
         ]
         for f in futures:
             f.result()  # propagate worker exceptions; all columns written
-        if epilogue is not None:
-            epilogue(out[:n_rows])
         if obs.metrics_enabled():
             obs.inc("repro_lanebank_refills_total", 1, cipher=self.cipher)
             obs.inc("repro_lanebank_rows_total", n_rows, cipher=self.cipher)

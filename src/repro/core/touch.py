@@ -8,15 +8,11 @@ fallen out of cache, so each extra read costs full memory bandwidth —
 on the measured box that is the difference between a kernel-bound and a
 bandwidth-bound output path.
 
-:class:`StreamTouch` folds the two accounting passes into whatever
-moment the bytes are already hot:
-
-* the fused K-clock kernels invoke it as their *epilogue* — each
-  just-written plane block is touched while it still sits in L2
-  (``fused_generate(..., epilogue=touch.update)``);
-* :meth:`BSRNG._take_bytes <repro.core.generator.BSRNG.read_with_receipt>`
-  invokes it chunk-by-chunk right after each buffer copy, so a draw
-  receipt rides along with the draw itself.
+:class:`StreamTouch` folds the two accounting passes into the moment
+the bytes are already hot: :meth:`BSRNG._take_bytes
+<repro.core.generator.BSRNG.read_with_receipt>` invokes it
+chunk-by-chunk right after each buffer copy, so a draw receipt rides
+along with the draw itself.
 
 The CRC here is *bit-identical* to ``payload_crc`` /
 ``table_crc_bytes(CRC32_IEEE, data)``: an MSB-first CRC-32-IEEE equals

@@ -13,6 +13,9 @@ implements that gate for any :class:`~repro.core.generator.BSRNG`:
   Catches heavily biased (but not constant) output.
 * startup self-test — the existing FIPS 140-2 battery
   (:func:`repro.nist.fips140.fips140_battery`) on the first 20,000 bits.
+  The battery (and with it :mod:`repro.nist` and SciPy) is imported on
+  the first startup test, not with this module: the daemon and its
+  fleet members import this module but never run that test.
 
 Both continuous tests are *streaming*: state (current run, current
 window) carries across buffers, and each buffer is screened in a few
@@ -30,16 +33,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro.core.generator import BSRNG
-from repro.core.touch import StreamTouch
 from repro.errors import HealthTestError, SpecificationError
-from repro.nist.fips140 import BLOCK_BITS, Fips140Report, fips140_battery
 from repro.obs import flight
 from repro.obs.tracing import span
+
+if TYPE_CHECKING:
+    from repro.nist.fips140 import Fips140Report
 
 logger = logging.getLogger(__name__)
 
@@ -304,6 +309,8 @@ def startup_self_test(rng: BSRNG) -> Fips140Report:
     with exactly this battery).  Consumes ``BLOCK_BITS`` bits from *rng*;
     raises :class:`HealthTestError` on rejection.
     """
+    from repro.nist.fips140 import BLOCK_BITS, fips140_battery
+
     with span("health.startup", algo=rng.algorithm):
         report = fips140_battery(rng.random_bits(BLOCK_BITS))
     obs.inc(
@@ -372,14 +379,6 @@ class HealthMonitoredBSRNG:
         self.max_reseeds = max_reseeds
         self.screen = HealthScreen(alpha, entropy_per_sample)
         self.log = HealthLog()
-        #: Continuous SP 800-90B-style bit census of the *raw source
-        #: output*, folded into the generation path's single-touch
-        #: epilogue — the kernels account each block while it is still
-        #: cache-hot, so this monitor adds no extra pass over the data.
-        #: Covers every generated byte (including ones later skipped),
-        #: which is the correct population for a noise-source monitor.
-        self.source_touch = StreamTouch()
-        self.inner.attach_generation_tap(self.source_touch.update)
         self.startup_report: Fips140Report | None = None
         if startup_test:
             self.startup_report = startup_self_test(self.inner)
@@ -469,13 +468,6 @@ class HealthMonitoredBSRNG:
     def algorithm(self) -> str:
         """The wrapped generator's algorithm name."""
         return self.inner.algorithm
-
-    @property
-    def source_ones_fraction(self) -> float:
-        """Running set-bit fraction of raw source output (0.5 when
-        unbiased; NaN before the first refill) — the free by-product of
-        the single-touch generation tap."""
-        return self.source_touch.ones_fraction
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
