@@ -57,9 +57,12 @@ or :meth:`FleetController.close` loses at most its last interval.
 
 The controller is deliberately single-brained: one lock guards all
 membership state, and one *pump* at a time moves messages from the
-transport into that state.  Any thread may pump (request threads while
-they wait, plus the optional supervision thread), which keeps the fleet
-responsive without dedicating a thread per worker.
+transport into that state.  Whoever waits pumps: a caller blocked in
+:meth:`FleetController.collect`, the optional supervision thread, or an
+event loop watching the transport's descriptor (the serve daemon:
+its loop pumps as results land and on a liveness tick, then collects
+with :meth:`FleetController.poll_collect`, so no other thread is
+involved).  No thread is dedicated to a worker.
 """
 
 from __future__ import annotations
@@ -321,8 +324,9 @@ class FleetController:
 
         With ``supervise=True`` a daemon thread pumps the transport
         continuously, so liveness is enforced even while no caller waits
-        in :meth:`read_range` (the service deployment).  Without it the
-        fleet is pumped only by waiting callers (tests, batch use).
+        in :meth:`read_range`.  Without it the fleet is pumped only by
+        waiting callers (tests, batch use) or by whoever calls
+        :meth:`pump` on a schedule of its own (the serve daemon's loop).
         """
         with self._lock:
             if self._closed:
@@ -340,8 +344,13 @@ class FleetController:
             )
             self._supervisor.start()
 
+    @property
+    def supervise_period(self) -> float:
+        """Seconds between liveness pumps while nothing else pumps."""
+        return min(self.config.heartbeat_interval / 2.0, 0.25)
+
     def _supervise_loop(self) -> None:
-        period = min(self.config.heartbeat_interval / 2.0, 0.25)
+        period = self.supervise_period
         while not self._stop.is_set():
             try:
                 self.pump(period)
@@ -800,6 +809,18 @@ class FleetController:
                 return None
             return b"".join(self._results.pop(job.job_id) for job in jobs)
 
+    def poll_collect(self, jobs: list[ChunkJob]) -> bytes | None:
+        """:meth:`try_collect`, but once the fleet is exhausted the
+        missing *jobs* are finished inline first (or the range fails):
+        one non-blocking step of :meth:`collect`, for callers that pump
+        on their own (the serve daemon's event loop)."""
+        with self._lock:
+            merged = self.try_collect(jobs)
+            if merged is None and self._fleet_exhausted():
+                self._degrade(jobs)
+                merged = self.try_collect(jobs)
+            return merged
+
     def collect(self, jobs: list[ChunkJob], timeout: float | None = None) -> bytes:
         """The merged bytes of submitted *jobs*, pumping while waiting.
 
@@ -811,20 +832,14 @@ class FleetController:
         """
         deadline = None if timeout is None else self.clock() + timeout
         period = min(self.config.heartbeat_interval / 2.0, 0.05)
-        while True:
-            with self._lock:
-                merged = self.try_collect(jobs)
-                if merged is not None:
-                    return merged
-                if self._fleet_exhausted():
-                    self._degrade(jobs)
-                    continue
+        while (merged := self.poll_collect(jobs)) is None:
             if deadline is not None and self.clock() > deadline:
                 n = sum(job.length for job in jobs)
                 raise DeviceFailureError(
                     f"fleet did not serve {n} bytes at {jobs[0].offset} within {timeout}s"
                 )
             self.pump(period)
+        return merged
 
     def _degrade(self, jobs: list[ChunkJob]) -> None:
         """Generate the unserved *jobs* inline (the caller holds the lock).

@@ -135,7 +135,8 @@ class Transport(ABC):
     host) and move :class:`Message` / :class:`ChunkJob` values; the
     controller supplies policy (membership, liveness, eviction).  All
     methods must be thread-safe — the controller pumps from whichever
-    thread reaches it first (request threads and the supervision thread).
+    thread reaches it first (a waiting caller, the supervision thread or
+    an event loop).
     """
 
     @abstractmethod
@@ -162,6 +163,12 @@ class Transport(ABC):
     def close(self) -> None:
         """Tear down every worker and release transport resources."""
 
+    def fileno(self) -> int:
+        """A descriptor that polls readable whenever :meth:`poll` has
+        messages, so an event loop can pump the fleet as results land
+        (optional: a transport without one is pumped by waiting callers)."""
+        raise NotImplementedError(f"{type(self).__name__} has no pollable descriptor")
+
 
 class LocalProcessTransport(Transport):
     """Local ``multiprocessing`` workers — the in-box transport.
@@ -182,9 +189,10 @@ class LocalProcessTransport(Transport):
         self.spec = spec
         self.mp_context = resolve_start_method(mp_context)
         self._ctx = mp.get_context(self.mp_context)
-        # replacements fork from the supervision thread while other
-        # threads run: a member forked mid-import of the kernel would
-        # inherit the held module lock and hang on its first job
+        # replacements fork from a pumping thread (the supervision thread
+        # or the daemon's event loop) while other threads run: a member
+        # forked mid-import of the kernel would inherit the held module
+        # lock and hang on its first job
         import_kernel(spec.stream.algorithm)
         self._procs: dict[int, mp.Process] = {}
         self._conns: dict = {}  # worker id -> the controller's Connection
@@ -232,6 +240,11 @@ class LocalProcessTransport(Transport):
                     with suppress(KeyError):  # unless kill() just did
                         self._selector.unregister(conn)
         return msgs
+
+    def fileno(self) -> int:
+        """The selector's own descriptor (an epoll fd on Linux): readable
+        while any member's pipe is, members launched later included."""
+        return self._selector.fileno()
 
     def alive(self, worker_id: int) -> bool:
         proc = self._procs.get(worker_id)

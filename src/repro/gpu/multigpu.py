@@ -352,7 +352,7 @@ class MultiDeviceGenerator(_SupervisedDevices):
 
     def sequential_reference(self, total_blocks: int) -> bytes:
         """The single-device output the multi-device result must equal."""
-        return self.stream.make_rng().random_bytes(total_blocks * self.block_bytes)
+        return self.stream.make_rng(prefetch=False).random_bytes(total_blocks * self.block_bytes)
 
 
 def _lane_window(

@@ -10,12 +10,14 @@ then travels two ways:
   what makes it safe under asyncio — each task sees the context that was
   current when it was created, and interleaved requests cannot clobber
   each other the way a ``threading.local`` would;
-* **across processes and executor threads** explicitly, as a plain
-  ``(trace_id, span_id)`` wire tuple riding in worker job tuples and
-  fleet :class:`~repro.fleet.transport.ChunkJob` fields.  ``contextvars``
-  do *not* cross ``run_in_executor`` or ``multiprocessing`` boundaries,
-  so every hop that leaves the event loop re-activates the context from
-  the wire form on the far side.
+* **across processes** explicitly, as a plain ``(trace_id, span_id)``
+  wire tuple riding in worker job tuples and fleet
+  :class:`~repro.fleet.transport.ChunkJob` fields.  ``contextvars`` do
+  *not* cross ``multiprocessing`` boundaries, so a member re-activates
+  the context from the wire form on the far side.  The daemon itself
+  never hands a request's work to another thread — it submits and
+  collects every chunk on its event loop, inside the request task's
+  context — so no wire form is needed in-process.
 
 Identifier scheme: trace ids are 32 hex chars from ``os.urandom`` (one
 per root span — cheap enough); span ids are 16 hex chars built from the

@@ -205,21 +205,19 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: dict[tuple[str, str, tuple], _Instrument] = {}
+        self._kinds: dict[str, str] = {}  # name -> the kind it is bound to
 
     def _get(self, kind: str, cls, name: str, labels: dict) -> _Instrument:
         if not name:
             raise SpecificationError("metric name must be non-empty")
         key = (kind, name, _labels_key(labels))
         with self._lock:
-            for other_kind in ("counter", "gauge", "histogram"):
-                if other_kind != kind and any(
-                    k[0] == other_kind and k[1] == name for k in self._metrics
-                ):
-                    raise SpecificationError(
-                        f"metric {name!r} already registered as a {other_kind}"
-                    )
             inst = self._metrics.get(key)
             if inst is None:
+                # the kind check runs once per new instrument, not per lookup
+                bound = self._kinds.setdefault(name, kind)
+                if bound != kind:
+                    raise SpecificationError(f"metric {name!r} already registered as a {bound}")
                 inst = cls(name, {str(k): str(v) for k, v in labels.items()}, self._lock)
                 self._metrics[key] = inst
             return inst
@@ -240,6 +238,7 @@ class MetricsRegistry:
         """Drop every instrument."""
         with self._lock:
             self._metrics.clear()
+            self._kinds.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -275,7 +274,7 @@ class MetricsRegistry:
         since the last drain (a fleet member ships one per heartbeat)."""
         with self._lock:
             snap = self.snapshot()
-            self._metrics.clear()
+            self.clear()
         return snap
 
     def merge(self, snapshot: dict, extra_labels: dict | None = None) -> None:

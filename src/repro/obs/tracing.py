@@ -341,11 +341,11 @@ class DetachedSpan:
 
     ``with span(...)`` binds a span to one block of one thread.  A
     pipelined serve chunk is dispatched on the event loop and accepted
-    later on an executor thread, so its span is opened and closed by
-    hand: the context is minted at creation (a child of the caller's
-    current context), work started meanwhile — a fleet job carrying
-    ``span.context.to_wire()`` — links to it before it ends, and
-    :meth:`finish` records it.  Overlapping detached spans are normal.
+    later, after other requests' work ran in between, so its span is
+    opened and closed by hand: the context is minted at creation (a
+    child of the caller's current context), work started meanwhile — a
+    fleet job carrying ``span.context.to_wire()`` — links to it before
+    it ends, and :meth:`finish` records it.  Overlapping detached spans are normal.
     """
 
     __slots__ = ("_tracer", "_name", "_args", "_parent_id", "_ts", "_t0", "_c0", "context")

@@ -35,10 +35,13 @@ through ``writer.drain()`` (socket watermarks) before the next is
 collected.  A slow reader therefore stalls its own pipeline at most
 ``queue_depth × chunk`` bytes ahead of what the socket accepted; it
 never grows daemon memory and never slows other clients, whose
-pipelines run independently.  A chunk that still fails after the head
-went out (fleet exhausted, no degradation) cancels the rest and closes
-the connection: the client sees a truncated body, never a second status
-line.
+pipelines run independently.  All of it runs on the event loop, which
+also reads member results as they land
+(:meth:`~repro.serve.engine.ServeEngine.acollect`): a chunk crosses no
+executor or supervision thread on its way out.  A chunk that still
+fails after the head went out (fleet exhausted, no degradation) cancels
+the rest and closes the connection: the client sees a truncated body,
+never a second status line.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
 let in-flight requests finish (open-ended streams end at the next chunk
@@ -194,14 +197,14 @@ class ServeDaemon:
         readiness line for supervisors and smoke tests.
         """
         # the fleet (and its ring, slots of one chunk) forks before any
-        # request thread exists
-        self.engine.start(chunk_bytes=self.config.chunk_bytes)
+        # request is accepted; from here on this loop pumps it
+        self._loop = asyncio.get_running_loop()
+        self.engine.start(chunk_bytes=self.config.chunk_bytes, loop=self._loop)
         obs.enable_metrics()
         flight.set_role("daemon")
         tracer = obs.active_tracer()
         if tracer is not None:
             tracer.set_process_name("repro-serve daemon")
-        self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         if install_signal_handlers:
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -419,19 +422,15 @@ class ServeDaemon:
         *ranges* yields ``(offset, n, lease_id)``; a non-``None``
         ``lease_id`` is a one-chunk lease released once its chunk is
         collected or cancelled.  Up to ``queue_depth`` chunks are in
-        flight in the fleet; each is collected — its receipt checked and
-        any requeue done by the fleet, then screened and QA-observed — on
-        an executor thread, strictly in order.  The consumer's
-        ``writer.drain()`` between yields is the backpressure: a stalled
-        reader stops the pipeline at most ``queue_depth`` chunks ahead of
-        what it handed the socket.  When the consumer stops (finished,
-        failed, disconnected), chunks still in flight are cancelled.
-
-        The trace context is captured *here*, on the loop, and passed as
-        an explicit argument: contextvars do not propagate into
-        ``run_in_executor`` threads.
+        flight in the fleet; each is awaited on the loop — its receipt
+        checked and any requeue done by the fleet as the loop pumps it,
+        then screened and QA-observed — strictly in order.  The
+        consumer's ``writer.drain()`` between yields is the
+        backpressure: a stalled reader stops the pipeline at most
+        ``queue_depth`` chunks ahead of what it handed the socket.  When
+        the consumer stops (finished, failed, disconnected), chunks
+        still in flight are cancelled.
         """
-        wire = trace_context.current_wire()
         window: deque = deque()  # (ticket, lease_id), in stream order
         try:
             while True:
@@ -440,13 +439,13 @@ class ServeDaemon:
                     if item is None:
                         break
                     offset, n, lease_id = item
-                    ticket = self.engine.submit(offset, n, next(self._chunk_seq), wire)
+                    ticket = self.engine.submit(offset, n, next(self._chunk_seq))
                     window.append((ticket, lease_id))
                 if not window:
                     return
                 ticket, lease_id = window.popleft()
                 try:
-                    data = await self._loop.run_in_executor(None, self.engine.collect, ticket)
+                    data = await self.engine.acollect(ticket)
                 finally:
                     if lease_id is not None:
                         self.leases.release(lease_id)

@@ -1,6 +1,8 @@
 """Multi-device scale-out tests (paper §5.4): partitioning, the
 sequential-reconstruction equivalence and the scaling model."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,26 @@ class TestMultiDeviceGenerator:
         g2 = MultiDeviceGenerator("mickey2", seed=9, lanes=128, n_devices=2, block_bytes=512)
         g5 = MultiDeviceGenerator("mickey2", seed=9, lanes=128, n_devices=5, block_bytes=512)
         assert g2.generate(10, parallel=False) == g5.generate(10, parallel=False)
+
+    def test_sequential_reference_leaves_no_refill_running(self):
+        # a 3 KiB reference spans two 2 KiB refills, the point where a
+        # prefetching generator queues a speculative third.  A gate holds
+        # the refill worker, so such a refill would run (and record its
+        # repro_fused_* series) only once the next scope is open
+        from repro import obs
+        from repro.core.generator import _quiesce_refills, _refill_executor
+
+        gen = MultiDeviceGenerator("trivium", seed=5, lanes=64, n_devices=2, block_bytes=1024)
+        gate = threading.Event()
+        _refill_executor().submit(gate.wait, 10.0)
+        try:
+            reference = gen.sequential_reference(3)
+        finally:
+            with obs.scoped() as reg:
+                gate.set()
+                _quiesce_refills()  # whatever was queued has now run
+        assert reference == gen.generate(3, parallel=False)
+        assert not [i.name for _, i in reg.instruments() if i.name.startswith("repro_fused_")]
 
 
 class TestLanePartitioned:

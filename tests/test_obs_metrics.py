@@ -81,6 +81,18 @@ def test_kind_conflict_raises():
         reg.gauge("n")
     with pytest.raises(SpecificationError):
         reg.histogram("n")
+    # the reverse order
+    reg.gauge("g")
+    with pytest.raises(SpecificationError):
+        reg.counter("g")
+    # a clash under different labels is still a clash
+    reg.counter("c", worker="0")
+    with pytest.raises(SpecificationError):
+        reg.histogram("c", worker="1")
+    # a drained name is free again
+    reg.drain()
+    reg.histogram("n")
+    assert len(reg) == 1
 
 
 def test_empty_name_raises():
