@@ -303,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chunk-bytes", type=int, default=1 << 16,
-        help="generation / streaming granularity, one fleet job per chunk "
-        "(default 64 KiB)",
+        help="generation granularity: leases are served from the stream cut "
+        "into chunks of this size, one fleet job each (default 64 KiB)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=4,
-        help="buffered chunks per stream before backpressure (default 4)",
+        help="chunks in flight per response before backpressure (default 4)",
     )
     serve.add_argument(
         "--drain-grace", type=float, default=10.0,

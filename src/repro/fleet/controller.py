@@ -26,9 +26,13 @@ full of anonymous workers into *supervised membership*:
   a served byte is the service latch (:class:`~repro.serve.engine.HealthState`).
 * **Reassignment** keeps the merged stream bit-identical to a
   single-device run.  Job ids come from a counter, never reissued, and
-  a result is accepted *at most once* per id: late or duplicate results
-  (an evicted-but-alive worker finishing its job) are counted as stale
-  and dropped.  A job is a pure function of its offset (or a body's
+  a result is accepted *at most once* per id: only the member a job is
+  assigned to can land it, and acceptance, requeue, cancel and inline
+  takeover all end that assignment, so late or duplicate results (an
+  evicted-but-alive worker finishing its job) are counted as stale and
+  dropped.  No per-job state outlives a job: bookkeeping is bounded by
+  the jobs in flight, and :attr:`FleetController.events` keeps the last
+  :data:`EVENTS_KEPT`.  A job is a pure function of its offset (or a body's
   arguments), so a reassigned job regenerates bit-identically on any
   healthy peer.  Every requeue bumps the job's ``attempt``, and
   ``on_requeue`` (a supervisor's attempt budget) may drop it instead.
@@ -104,6 +108,9 @@ __all__ = [
 
 #: Membership states a worker moves through (forward-only).
 WORKER_STATES = ("launching", "live", "draining", "drained", "evicted")
+
+#: How many membership events :attr:`FleetController.events` keeps.
+EVENTS_KEPT = 50
 
 #: Why workers get evicted (the ``reason`` label on the eviction counter)
 #: and why jobs get requeued (``corrupt``: a failed receipt).
@@ -284,7 +291,6 @@ class FleetController:
         self._assigned: dict[int, tuple[ChunkJob, int, float]] = {}
         self._results: dict[int, Any] = {}
         self._result_metrics: dict[int, dict] = {}  # partition jobs' snapshots
-        self._done: set[int] = set()  # job ids accepted, dropped or cancelled
         self._inline: RangeSource | None = None  # degraded-mode generator
         # ring slot pool: a slot belongs to a job from dispatch until its
         # result is accepted or the assignment is torn down (requeue,
@@ -300,7 +306,7 @@ class FleetController:
         self._next_worker_id = 0
         self._dispatch_seq = itertools.count(1)
         self._idle_since: float | None = None
-        self.events: list[FleetEvent] = []
+        self.events: deque[FleetEvent] = deque(maxlen=EVENTS_KEPT)  # the most recent
         self.evictions = 0
         self._budget_from = 0  # evictions before the current relaunch budget
         self.evictions_by_reason: dict[str, int] = dict.fromkeys(EVICTION_REASONS, 0)
@@ -467,8 +473,7 @@ class FleetController:
                 member.inflight.discard(msg.job_id)
         entry = self._assigned.get(msg.job_id)
         stale = (
-            msg.job_id in self._done
-            or entry is None
+            entry is None
             or entry[1] != msg.worker_id
             or member is None
             or member.state not in ("live", "draining")
@@ -502,12 +507,12 @@ class FleetController:
         if payload_crc(payload) != msg.crc:
             self._strike(member, job, now, "crc mismatch")
             return
-        # accept: exactly once per job id, then the id is done forever
-        self._done.add(job.job_id)
+        # accept: exactly once per job id — with its assignment gone,
+        # any later result for it is stale
+        self._assigned.pop(job.job_id)
         self._results[job.job_id] = payload
         if msg.metrics is not None:
             self._result_metrics[job.job_id] = msg.metrics
-        self._assigned.pop(job.job_id, None)
         self._release_slot(job.job_id)
         member.inflight.discard(job.job_id)
         member.jobs_done += 1
@@ -543,9 +548,8 @@ class FleetController:
         """Clear a failed job's assignment and put its next attempt at
         the head of the queue — unless ``on_requeue`` drops it.  Returns
         whether it was requeued."""
-        self._requeue_clear(job)
+        self._requeue_clear(job)  # any later result for this attempt is stale
         if self.on_requeue is not None and not self.on_requeue(job, cause, detail):
-            self._done.add(job.job_id)  # any later result is stale
             return False
         self._pending.appendleft(replace(job, attempt=job.attempt + 1))
         self.requeues += 1
@@ -849,10 +853,9 @@ class FleetController:
         exhaustion costs the range it stranded and a later range is
         served by new members.
         """
+        queued = {job.job_id for job in self._pending}
         missing = [
-            job
-            for job in jobs
-            if job.job_id not in self._results and job.job_id not in self._done
+            job for job in jobs if job.job_id in self._assigned or job.job_id in queued
         ]
         if not self.config.degrade_inline:
             self.cancel(jobs)
@@ -869,7 +872,6 @@ class FleetController:
             # claim each job inline before generating, so a
             # straggler's late result is stale, not a duplicate
             self._requeue_clear(job)
-            self._done.add(job.job_id)
         self.degraded_chunks += len(missing)
         obs.inc("repro_fleet_degraded_chunks_total", len(missing))
         self.events.append(
@@ -892,12 +894,9 @@ class FleetController:
             ids = {job.job_id for job in jobs}
             self._pending = deque(j for j in self._pending if j.job_id not in ids)
             for job in jobs:
-                if job.job_id in self._done:
-                    self._results.pop(job.job_id, None)
-                    self._result_metrics.pop(job.job_id, None)
-                    continue
-                self._done.add(job.job_id)  # any later result is stale
-                entry = self._assigned.pop(job.job_id, None)
+                self._results.pop(job.job_id, None)
+                self._result_metrics.pop(job.job_id, None)
+                entry = self._assigned.pop(job.job_id, None)  # any later result is stale
                 if entry is not None:
                     self._cancelled[job.job_id] = entry[1]
 
@@ -953,5 +952,5 @@ class FleetController:
                 },
                 "pending_jobs": len(self._pending),
                 "inflight_jobs": len(self._assigned),
-                "events": [event.to_dict() for event in self.events[-50:]],
+                "events": [event.to_dict() for event in self.events],
             }

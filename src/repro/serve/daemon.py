@@ -27,15 +27,34 @@ one :class:`~repro.serve.engine.ServeEngine` and one
     health events, uptime — the service twin of
     :class:`~repro.gpu.multigpu.GenerationReport`.
 
+**Grid chunks.**  Every response is served from *grid chunks*: the
+stream cut at multiples of ``chunk_bytes`` from offset 0.  Each grid
+chunk is one :meth:`~repro.serve.engine.ServeEngine.submit`, accepted
+once (the fleet's CRC receipt, then the RCT/APT screen and QA), and a
+response writes slices of the chunks its lease overlaps.  A chunk a
+lease covers whole is private to that response's pipeline.  Only a
+lease's first and last chunk can hold a neighbour's bytes too; those
+*edge* chunks sit in a small shared table while any lease holds them,
+and the chunk the next lease will start in stays there once accepted.
+So consecutive small leases read one chunk — sixteen 4 KiB requests per
+64 KiB fleet job — and a lease reuses bytes in flight or already
+accepted instead of starting a member round trip of its own.  A shared
+chunk is accepted by a task of its own, started by whichever holder
+first waits for it: a stalled or disconnected neighbour neither delays
+it nor cancels it while another lease still holds it.
+
 **Backpressure.**  ``/v1/bytes`` and ``/v1/stream`` share one ordered
-chunk pipeline: up to ``queue_depth`` chunks of a response are in flight
-in the worker fleet while this process verifies, screens and writes
-earlier ones, strictly in stream order, and each chunk is written
-through ``writer.drain()`` (socket watermarks) before the next is
-collected.  A slow reader therefore stalls its own pipeline at most
-``queue_depth × chunk`` bytes ahead of what the socket accepted; it
-never grows daemon memory and never slows other clients, whose
-pipelines run independently.  All of it runs on the event loop, which
+chunk pipeline: up to ``queue_depth`` grid chunks of a response (and
+no more than ``queue_depth`` of its pieces — ``/v1/stream`` frames, or
+``/v1/bytes`` slices of one chunk each) are in flight in the worker
+fleet while this process verifies, screens and writes earlier ones,
+strictly in stream order, and each piece is written through
+``writer.drain()`` (socket watermarks) before the next is collected.  A
+slow reader therefore stalls its own pipeline at most ``queue_depth ×
+chunk`` bytes ahead of what the socket accepted (or two ``/v1/stream``
+frames, where a frame spans more grid chunks than that); it never grows
+daemon memory and never slows other clients, whose pipelines run
+independently.  All of it runs on the event loop, which
 also reads member results as they land
 (:meth:`~repro.serve.engine.ServeEngine.acollect`): a chunk crosses no
 executor or supervision thread on its way out.  A chunk that still
@@ -54,6 +73,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -72,8 +92,8 @@ from repro.obs import flight
 from repro.obs.context import TraceContext
 from repro.obs.export import render_prometheus
 from repro.obs.tracing import span
-from repro.serve.engine import ServeEngine
-from repro.serve.leases import LeaseManager
+from repro.serve.engine import ChunkTicket, ServeEngine
+from repro.serve.leases import Lease, LeaseManager
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +144,25 @@ class DaemonConfig:
             raise SpecificationError("need drain_grace >= 0 and idle_timeout > 0")
 
 
+class _GridChunk:
+    """Grid chunk ``index``: the stream bytes ``[index·C, (index+1)·C)``.
+
+    Submitted once (``ticket``) and accepted once (``data``).  A shared
+    chunk (an edge chunk of some lease) is accepted by a ``task`` of its
+    own and read by every lease in ``holders``.
+    """
+
+    __slots__ = ("index", "shared", "ticket", "task", "data", "holders")
+
+    def __init__(self, index: int, shared: bool) -> None:
+        self.index = index
+        self.shared = shared
+        self.ticket: ChunkTicket | None = None  # submitted, acceptance not begun
+        self.task: asyncio.Task | None = None  # a shared chunk's acceptance
+        self.data: bytes | None = None  # the accepted bytes
+        self.holders: set[int] = set()  # ids of the leases that may read it
+
+
 class _Request:
     """One parsed HTTP request (method, path, query, headers, trace)."""
 
@@ -158,6 +197,7 @@ class ServeDaemon:
         self.started = threading.Event()  # set once the socket is listening
         self._t0 = time.monotonic()
         self._chunk_seq = itertools.count()  # serve.chunk span numbering
+        self._shared: dict[int, _GridChunk] = {}  # edge chunks, by grid index
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._requests_total = 0
@@ -415,53 +455,179 @@ class ServeDaemon:
             "X-Repro-Span-Id": request.trace.span_id,
         }
 
-    # -- data endpoints ----------------------------------------------------------
-    async def _pipeline(self, ranges: Iterator[tuple[int, int, int | None]]):
-        """Yield the chunks named by *ranges*, in stream order.
+    # -- grid chunks -------------------------------------------------------------
+    def _shares(self, lease: Lease, g: int) -> bool:
+        """Whether grid chunk *g* holds bytes outside *lease*, so that a
+        neighbouring lease may read it too (only a first or last chunk)."""
+        size = self.config.chunk_bytes
+        return g * size < lease.offset or (g + 1) * size > lease.end
 
-        *ranges* yields ``(offset, n, lease_id)``; a non-``None``
-        ``lease_id`` is a one-chunk lease released once its chunk is
-        collected or cancelled.  Up to ``queue_depth`` chunks are in
-        flight in the fleet; each is awaited on the loop — its receipt
-        checked and any requeue done by the fleet as the loop pumps it,
-        then screened and QA-observed — strictly in order.  The
-        consumer's ``writer.drain()`` between yields is the
+    def _edges(self, lease: Lease) -> list[int]:
+        """The grid chunks *lease* shares with its neighbours."""
+        size = self.config.chunk_bytes
+        ends = {lease.offset // size, (lease.end - 1) // size}
+        return [g for g in ends if self._shares(lease, g)]
+
+    def _shared_chunk(self, g: int, lease: Lease) -> _GridChunk:
+        """The table's grid chunk *g*, held by *lease* from now on."""
+        chunk = self._shared.get(g)
+        if chunk is None:
+            chunk = self._shared[g] = _GridChunk(g, shared=True)
+        chunk.holders.add(lease.lease_id)
+        return chunk
+
+    def _lease(self, n: int, client: str) -> Lease:
+        """Grant the next *n* stream bytes; the lease holds its edge chunks
+        at once, so a neighbour that reads one first cannot forget it."""
+        lease = self.leases.acquire(n, client=client)
+        for g in self._edges(lease):
+            self._shared_chunk(g, lease)
+        return lease
+
+    def _release(self, lease: Lease) -> None:
+        """Release *lease* and its holds (idempotent).  An edge chunk no
+        lease holds is forgotten, and cancelled if not yet accepted —
+        unless it is accepted and the next lease will start in it."""
+        self.leases.release(lease.lease_id)
+        size = self.config.chunk_bytes
+        high_water = self.leases.high_water
+        for g in self._edges(lease):
+            chunk = self._shared.get(g)
+            if chunk is None:
+                continue
+            chunk.holders.discard(lease.lease_id)
+            frontier = high_water % size and high_water // size == g
+            if chunk.holders or (frontier and chunk.data is not None):
+                continue
+            del self._shared[g]
+            self._abandon(chunk)
+
+    def _open(self, g: int, lease: Lease) -> _GridChunk:
+        """Grid chunk *g* for a piece of *lease*: a private chunk when the
+        lease covers it whole, else the shared one; submitted unless it
+        already was."""
+        if self._shares(lease, g):
+            chunk = self._shared_chunk(g, lease)
+        else:
+            chunk = _GridChunk(g, shared=False)
+        if chunk.data is None and chunk.ticket is None and chunk.task is None:
+            size = self.config.chunk_bytes
+            chunk.ticket = self.engine.submit(g * size, size, next(self._chunk_seq))
+        return chunk
+
+    async def _accepted(self, chunk: _GridChunk) -> bytes:
+        """*chunk*'s bytes once accepted.  A private chunk is accepted
+        here; a shared one by its own task, started by the first holder
+        to wait, so no holder that stalls or leaves holds it up or
+        cancels it for the others."""
+        if chunk.data is None:
+            if chunk.shared:
+                if chunk.task is None:
+                    chunk.task = asyncio.get_running_loop().create_task(self._accept(chunk))
+                    chunk.task.add_done_callback(functools.partial(self._settled, chunk))
+                await asyncio.shield(chunk.task)
+            else:
+                await self._accept(chunk)
+        return chunk.data
+
+    async def _accept(self, chunk: _GridChunk) -> None:
+        ticket, chunk.ticket = chunk.ticket, None  # acollect cleans up from here
+        chunk.data = await self.engine.acollect(ticket)
+
+    def _settled(self, chunk: _GridChunk, task: asyncio.Task) -> None:
+        """A shared chunk that failed or was cancelled is forgotten: a
+        later lease submits it again."""
+        if (task.cancelled() or task.exception() is not None) and (
+            self._shared.get(chunk.index) is chunk
+        ):
+            del self._shared[chunk.index]
+
+    def _abandon(self, chunk: _GridChunk) -> None:
+        """Cancel whatever fleet work *chunk* still has outstanding."""
+        if chunk.task is not None:
+            chunk.task.cancel()  # a no-op once accepted
+        if chunk.ticket is not None:
+            self.engine.cancel(chunk.ticket)
+            chunk.ticket = None
+
+    # -- data endpoints ----------------------------------------------------------
+    async def _pipeline(self, pieces: Iterator[tuple[int, int, Lease, bool]]):
+        """Yield the bytes of the pieces named by *pieces*, in stream order.
+
+        *pieces* yields ``(offset, n, lease, own)``: ``n`` bytes at
+        *offset* inside *lease*.  An *own* lease is the piece's alone,
+        released once its piece is cut or abandoned.  Each piece is cut
+        from the grid chunks it overlaps, opened (see :meth:`_open`) as
+        the piece is queued; pieces are queued while fewer than
+        ``queue_depth`` pieces are queued and ``queue_depth`` grid chunks
+        open, and in any case until the head has a successor (so an
+        open-ended stream of tiny frames holds at most ``queue_depth``
+        leases, and a frame wider than the window still generates while
+        the one before it is written).  Each chunk is awaited on the loop
+        — its receipt checked and any requeue done by the fleet as the
+        loop pumps it, then screened and QA-observed — strictly in order.
+        The consumer's ``writer.drain()`` between yields is the
         backpressure: a stalled reader stops the pipeline at most
-        ``queue_depth`` chunks ahead of what it handed the socket.  When
-        the consumer stops (finished, failed, disconnected), chunks
-        still in flight are cancelled.
+        ``queue_depth`` grid chunks (or two frames, where ``/v1/stream``
+        frames are wider) ahead of what it handed the socket.
+        When the consumer stops (finished, failed, disconnected), private
+        chunks still in flight are cancelled; shared ones are left to the
+        leases that hold them.
         """
-        window: deque = deque()  # (ticket, lease_id), in stream order
+        size, depth = self.config.chunk_bytes, self.config.queue_depth
+        ahead = min(2, depth)  # pieces always queued: the head and the next
+        window: deque[_GridChunk] = deque()  # open grid chunks, in stream order
+        queued: deque = deque()  # pieces whose chunks are all open
         try:
             while True:
-                while len(window) < self.config.queue_depth:
-                    item = next(ranges, None)
-                    if item is None:
+                while (len(window) < depth and len(queued) < depth) or len(queued) < ahead:
+                    piece = next(pieces, None)
+                    if piece is None:
                         break
-                    offset, n, lease_id = item
-                    ticket = self.engine.submit(offset, n, next(self._chunk_seq))
-                    window.append((ticket, lease_id))
-                if not window:
+                    offset, n, lease, _ = piece
+                    for g in range(offset // size, (offset + n - 1) // size + 1):
+                        if not window or window[-1].index < g:
+                            window.append(self._open(g, lease))
+                    queued.append(piece)
+                if not queued:
                     return
-                ticket, lease_id = window.popleft()
-                try:
-                    data = await self.engine.acollect(ticket)
-                finally:
-                    if lease_id is not None:
-                        self.leases.release(lease_id)
-                yield data
+                offset, n, lease, own = queued[0]
+                end = offset + n
+                parts = []
+                for chunk in window:
+                    base = chunk.index * size
+                    if base >= end:
+                        break
+                    if base + size <= offset:
+                        continue  # left over from an earlier, non-adjacent piece
+                    data = await self._accepted(chunk)
+                    if offset <= base and base + size <= end:
+                        parts.append(data)
+                    else:
+                        parts.append(data[max(offset - base, 0):end - base])
+                while window and (window[0].index + 1) * size <= end:
+                    window.popleft()
+                queued.popleft()
+                if own:
+                    self._release(lease)
+                yield parts[0] if len(parts) == 1 else b"".join(parts)
         finally:
-            for ticket, lease_id in window:
-                self.engine.cancel(ticket)
-                if lease_id is not None:
-                    self.leases.release(lease_id)
+            for chunk in window:
+                if not chunk.shared:
+                    self._abandon(chunk)
+            for _, _, lease, own in queued:
+                if own:
+                    self._release(lease)
 
-    @staticmethod
-    def _split(offset: int, n: int, chunk: int) -> Iterator[tuple[int, int, None]]:
-        """``(offset, length, None)`` pieces of at most *chunk* bytes."""
-        end = offset + n
-        for start in range(offset, end, chunk):
-            yield start, min(chunk, end - start), None
+    def _pieces(self, lease: Lease, frame: int = 0) -> Iterator[tuple[int, int, Lease, bool]]:
+        """*lease* as pipeline pieces: ``/v1/stream`` frames of *frame*
+        bytes, or (``0``) one piece per grid chunk it overlaps."""
+        size = self.config.chunk_bytes
+        start = lease.offset
+        while start < lease.end:
+            stop = min(start + frame if frame else start - start % size + size, lease.end)
+            yield start, stop - start, lease, False
+            start = stop
 
     async def _send_body(self, writer: asyncio.StreamWriter, head: bytes, chunks, frame) -> bool:
         """Write *head*, then each chunk of *chunks* through *frame*.
@@ -510,7 +676,7 @@ class ServeDaemon:
         if fmt not in ("raw", "hex"):
             raise SpecificationError("format must be 'raw' or 'hex'")
         peer = writer.get_extra_info("peername")
-        lease = self.leases.acquire(n, client=str(peer))
+        lease = self._lease(n, str(peer))
         try:
             extra = {
                 "X-Repro-Lease-Id": str(lease.lease_id),
@@ -524,14 +690,14 @@ class ServeDaemon:
             head = self._head(200, content_type, extra, content_length=content_length)
             # hex chunks concatenate to the hex of the whole payload
             frame = _hex_frame if fmt == "hex" else _raw_frame
-            chunks = self._pipeline(self._split(lease.offset, n, self.config.chunk_bytes))
+            chunks = self._pipeline(self._pieces(lease))
             if not await self._send_body(writer, head, chunks, frame):
                 return False
             if fmt == "hex":
                 writer.write(b"\n")
                 await writer.drain()
         finally:
-            self.leases.release(lease.lease_id)
+            self._release(lease)
         obs.inc("repro_serve_requests_total", 1, status=200)
         return True
 
@@ -550,11 +716,11 @@ class ServeDaemon:
         }
         lease = None
         if total is not None:
-            lease = self.leases.acquire(total, client=peer)
+            lease = self._lease(total, peer)
             extra["X-Repro-Lease-Id"] = str(lease.lease_id)
             extra["X-Repro-Lease-Offset"] = str(lease.offset)
             extra["X-Repro-Lease-Length"] = str(lease.length)
-            ranges = self._split(lease.offset, total, chunk)
+            ranges = self._pieces(lease, chunk)
         else:
             ranges = self._open_ended(chunk, peer)
         head = self._head(200, "application/octet-stream", extra, chunked=True)
@@ -567,16 +733,16 @@ class ServeDaemon:
                 obs.inc("repro_serve_requests_total", 1, status=200)
         finally:
             if lease is not None:
-                self.leases.release(lease.lease_id)
+                self._release(lease)
             self._active_streams -= 1
             obs.set_gauge("repro_serve_active_streams", self._active_streams)
         return False  # one stream per connection
 
-    def _open_ended(self, chunk: int, peer: str) -> Iterator[tuple[int, int, int]]:
-        """One-chunk leases, granted as the pipeline asks, until drain."""
+    def _open_ended(self, chunk: int, peer: str) -> Iterator[tuple[int, int, Lease, bool]]:
+        """One-frame leases, granted as the pipeline asks, until drain."""
         while not self._draining:
-            piece = self.leases.acquire(chunk, client=peer)
-            yield piece.offset, chunk, piece.lease_id
+            lease = self._lease(chunk, peer)
+            yield lease.offset, chunk, lease, True
 
     # -- operational endpoints ---------------------------------------------------
     async def _serve_healthz(self, writer: asyncio.StreamWriter) -> bool:

@@ -3,7 +3,7 @@ lease reassignment and at-most-once acceptance — all driven through a fake
 transport and a fake clock, so every race is a deterministic sequence of
 messages and deadline checks rather than a sleep."""
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import replace
 
 import pytest
@@ -18,6 +18,7 @@ from repro.fleet import (
     Transport,
     WorkerSpec,
 )
+from repro.fleet.controller import EVENTS_KEPT
 from repro.robust.supervisor import payload_crc
 from repro.serve.engine import RangeSource, StreamConfig
 
@@ -315,6 +316,56 @@ class TestAtMostOnceAcceptance:
         ctrl.check_liveness(clock.now)
         assert ctrl.members[owner].state == "evicted"
         assert ctrl.reassignments == 0
+        assert ctrl.try_collect([job]) == stream_bytes(0, 256)
+        ctrl.close()
+
+
+class TestBoundedBookkeeping:
+    def test_per_job_state_is_bounded_by_the_jobs_in_flight(self):
+        """Thousands of jobs accepted, duplicated, cancelled in flight
+        and cancelled after acceptance leave no per-job trace once each
+        is settled: a long-running daemon's controller does not grow."""
+        ctrl, transport, clock = make_fleet()
+        register_all(ctrl, transport, clock)
+
+        def owner(job: ChunkJob) -> int:
+            return next(wid for wid, sent in transport.sent.items() if sent[-1] == job)
+
+        rounds = 1500
+        for k in range(rounds):
+            a, b = jobs = ctrl.submit_range(k * 512, 512)  # one job per member
+            if k % 3 == 0:  # accepted, collected, then a duplicate result
+                for job in jobs:
+                    ctrl.handle_message(result_msg(job, owner(job)), clock.now)
+                assert ctrl.try_collect(jobs) == stream_bytes(k * 512, 512)
+                ctrl.handle_message(result_msg(a, owner(a)), clock.now)
+            elif k % 3 == 1:  # cancelled in flight, then the late results
+                owners = [owner(job) for job in jobs]
+                ctrl.cancel(jobs)
+                for job, wid in zip(jobs, owners):
+                    ctrl.handle_message(result_msg(job, wid), clock.now)
+            else:  # one accepted, the pair cancelled, the other's result late
+                wid_b = owner(b)
+                ctrl.handle_message(result_msg(a, owner(a)), clock.now)
+                ctrl.cancel(jobs)
+                ctrl.handle_message(result_msg(b, wid_b), clock.now)
+            assert ctrl.try_collect(jobs) is None  # collected once, or never
+        kinds = [len(range(kind, rounds, 3)) for kind in range(3)]
+        assert ctrl.jobs_completed == 2 * kinds[0] + kinds[2]
+        assert ctrl.stale_results == kinds[0] + 2 * kinds[1] + kinds[2]
+        sizes = {
+            name: len(value)
+            for name, value in vars(ctrl).items()
+            if isinstance(value, (set, dict, list, deque))
+        }
+        assert len(ctrl.events) == EVENTS_KEPT
+        assert max(sizes.values()) <= EVENTS_KEPT, sizes
+        for name in ("_pending", "_assigned", "_results", "_result_metrics", "_cancelled"):
+            assert sizes[name] == 0, sizes
+        # the members still hold nothing and take new work
+        assert all(not m.inflight for m in ctrl.members.values())
+        (job,) = ctrl.submit_range(0, 256)
+        ctrl.handle_message(result_msg(job, owner(job)), clock.now)
         assert ctrl.try_collect([job]) == stream_bytes(0, 256)
         ctrl.close()
 

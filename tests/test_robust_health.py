@@ -158,6 +158,18 @@ class TestHealthState:
         assert state.to_dict()["bytes_screened"] == served
         assert not state.healthy
 
+    def test_events_keep_the_first_latch_and_the_most_recent(self):
+        # a long-running daemon latches again and again (about once per
+        # 16 MiB of a correct stream at the serve alpha); /healthz must
+        # not grow with it
+        state = HealthState(2.0**-20)
+        for k in range(200):
+            state.latch(f"qa:drill{k}")
+        events = state.to_dict()["events"]
+        assert len(events) == HealthState.EVENTS_KEPT == 50
+        assert events[0]["test"] == "qa:drill0"
+        assert [e["test"] for e in events[1:]] == [f"qa:drill{k}" for k in range(151, 200)]
+
 
 class TestStartupSelfTest:
     def test_healthy_generator_passes(self):

@@ -52,15 +52,17 @@ def running_daemon(
     screen: bool = True,
     fleet: FleetConfig | None = None,
     journal_path: str | None = None,
+    qa=None,
+    drain_grace: float = 10.0,
 ):
-    engine = ServeEngine(STREAM, workers=workers, screen=screen, fleet=fleet)
+    engine = ServeEngine(STREAM, workers=workers, screen=screen, fleet=fleet, qa=qa)
     daemon = ServeDaemon(
         engine,
         DaemonConfig(
             port=0,
             chunk_bytes=chunk_bytes,
             queue_depth=queue_depth,
-            drain_grace=10.0,
+            drain_grace=drain_grace,
             journal_path=journal_path,
         ),
     )
