@@ -19,7 +19,7 @@ package is that transcript machinery:
 
 from repro.codegen.anf import anf_from_truth_table, circuit_from_truth_tables
 from repro.codegen.circuit import Circuit, CircuitBuilder, Node
-from repro.codegen.emit import emit_cuda, emit_cuda_epilogue, emit_numpy
+from repro.codegen.emit import emit_cuda, emit_numpy
 
 __all__ = [
     "Circuit",
@@ -29,5 +29,4 @@ __all__ = [
     "circuit_from_truth_tables",
     "emit_numpy",
     "emit_cuda",
-    "emit_cuda_epilogue",
 ]

@@ -19,7 +19,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -209,6 +209,12 @@ def import_kernel(algorithm: str) -> None:
     entry = _REGISTRY.get(algorithm)
     if entry is not None:
         _kernel_class(entry[0].cls_path)
+
+
+class Receipt(NamedTuple):
+    """What :meth:`BSRNG.read_with_receipt` returns beside the bytes."""
+
+    crc: int  #: ``payload_crc`` of the bytes (MSB-first CRC-32-IEEE)
 
 
 class _PlaneSource:
@@ -462,7 +468,7 @@ class BSRNG:
             )
         return buf
 
-    def _take_bytes(self, n: int, touch=None) -> np.ndarray:
+    def _take_bytes(self, n: int) -> np.ndarray:
         with self.lock:
             out = np.empty(n, dtype=np.uint8)
             filled = 0
@@ -481,11 +487,6 @@ class BSRNG:
                         obs.observe("repro_generator_refill_bytes", avail, algorithm=self.algorithm)
                 take = min(avail, n - filled)
                 out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-                if touch is not None:
-                    # single-touch: account the chunk right after the copy,
-                    # while it is still hot, instead of re-reading the whole
-                    # draw cold afterwards
-                    touch.update(out[filled : filled + take])
                 self._pos += take
                 filled += take
             self._position += n
@@ -574,29 +575,17 @@ class BSRNG:
             raise SpecificationError("n must be non-negative")
         return self._take_bytes(n)
 
-    def read_with_receipt(self, n: int, touch=None):
-        """*n* stream bytes plus their single-touch accounting.
+    def read_with_receipt(self, n: int) -> tuple[bytes, Receipt]:
+        """*n* stream bytes plus their CRC-32 receipt.
 
-        Returns ``(data, receipt)`` where *receipt* is a
-        :class:`repro.core.touch.Receipt` whose ``crc`` equals
-        ``payload_crc(data)`` — computed chunk-by-chunk during the draw
-        copy itself, so the bytes are never re-read cold for the
-        checksum.  Every worker that ships stream ranges with integrity
-        receipts — serve pool, fleet and multi-device, through the shared
-        :func:`repro.serve.engine.range_attempt` — draws through this
-        instead of pairing :meth:`read` with a separate CRC pass.  Pass an existing
-        :class:`~repro.core.touch.StreamTouch` as *touch* to accumulate
-        across calls; its running state is folded in (the receipt then
-        covers everything the touch has seen).
+        Returns ``(data, receipt)`` with ``data == self.read(n)`` and
+        ``receipt.crc == payload_crc(data)``: one cold CRC pass over the
+        drawn bytes, the same check every fleet result carries.
         """
-        from repro.core.touch import StreamTouch
+        from repro.robust.supervisor import payload_crc  # repro.robust imports BSRNG
 
-        if n < 0:
-            raise SpecificationError("n must be non-negative")
-        if touch is None:
-            touch = StreamTouch()
-        data = self._take_bytes(n, touch=touch)
-        return data.tobytes(), touch.receipt()
+        data = self.read(n)
+        return data, Receipt(payload_crc(data))
 
     def random_bits(self, n: int) -> np.ndarray:
         """*n* bits as a uint8 0/1 array (little bit order of the stream)."""

@@ -33,9 +33,12 @@ Failure modelling is deliberately honest:
 from __future__ import annotations
 
 import functools
+import os
 import signal
+import stat
 import sys
 import time
+from contextlib import suppress
 
 from repro import obs
 from repro.core.ring import RingSlotRef
@@ -61,8 +64,10 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)  # asyncio's self-pipe: a socket, released below
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    _close_inherited_sockets(conn.fileno())
     # a fork-inherited parent registry must not double-count, and a
     # fork-inherited tracer must not record: the member collects into a
     # fresh registry of its own (shipped as heartbeat deltas) and its
@@ -82,6 +87,33 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
         flight.record("worker-crash", worker=worker_id, error=f"{type(exc).__name__}: {exc}")
         flight.dump("worker-crash")
         sys.exit(1)
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Release every inherited socket but *keep* (the member's own pipe).
+
+    A member relaunched by the serve daemon is forked holding the
+    daemon's sockets: its listener, client connections and the parent
+    ends of every member pipe.  A connection the daemon closes would stay
+    open at the client until this member exits.  Each socket is replaced
+    by ``/dev/null`` rather than freed, so an inherited socket object
+    that closes its number later cannot close a descriptor this member
+    opened since.  Plain pipes stay open: multiprocessing's fork
+    sentinel is one, and the parent's ``join`` waits on it to learn
+    that this member has exited.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    if not os.path.isdir(fd_dir):  # pragma: no cover - no descriptor listing
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir(fd_dir):
+        fd = int(name)
+        if fd in (keep, devnull):
+            continue
+        with suppress(OSError):  # the listing's own descriptor, closed by now
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _delta(reg) -> dict | None:

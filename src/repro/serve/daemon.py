@@ -63,9 +63,10 @@ the rest and closes the connection: the client sees a truncated body,
 never a second status line.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
-let in-flight requests finish (open-ended streams end at the next chunk
-boundary with a clean chunked terminator), and only cancel stragglers
-after ``drain_grace`` seconds.  Exit is 0 and the fleet's members are
+close keep-alive connections idle between requests, let in-flight
+requests finish (open-ended streams end at the next chunk boundary with
+a clean chunked terminator), and only cancel stragglers after
+``drain_grace`` seconds.  Exit is 0 and the fleet's members are
 torn down with ``terminate()`` — no orphans.
 """
 
@@ -199,6 +200,7 @@ class ServeDaemon:
         self._chunk_seq = itertools.count()  # serve.chunk span numbering
         self._shared: dict[int, _GridChunk] = {}  # edge chunks, by grid index
         self._conn_tasks: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a request line
         self._draining = False
         self._requests_total = 0
         self._bytes_served = 0
@@ -268,6 +270,8 @@ class ServeDaemon:
             await self._stop_event.wait()
             self._draining = True
             server.close()
+            for writer in self._idle:  # idle keep-alives: EOF ends their read
+                writer.close()
             await server.wait_closed()
             if self._conn_tasks:
                 done, pending = await asyncio.wait(
@@ -295,7 +299,7 @@ class ServeDaemon:
         self._conn_tasks.add(task)
         try:
             while not self._draining:
-                request = await self._read_request(reader)
+                request = await self._read_request(reader, writer)
                 if request is None:
                     break
                 self._requests_total += 1
@@ -305,7 +309,9 @@ class ServeDaemon:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass  # client went away mid-response
         except asyncio.CancelledError:
-            raise  # drain-grace expiry: let the task die
+            # drain-grace expiry: end quietly, or asyncio logs the
+            # cancelled handler as an "Exception in callback" (3.10/3.11)
+            pass
         except Exception:
             logger.exception("connection handler failed")
         finally:
@@ -316,14 +322,22 @@ class ServeDaemon:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
-        """Parse one request head; ``None`` on EOF or idle timeout."""
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> _Request | None:
+        """Parse one request head; ``None`` on EOF or idle timeout.
+
+        While it waits for the request line the connection is idle, and
+        a drain closes *writer* at once instead of waiting it out."""
+        self._idle.add(writer)
         try:
             line = await asyncio.wait_for(
                 reader.readline(), timeout=self.config.idle_timeout
             )
         except asyncio.TimeoutError:
             return None
+        finally:
+            self._idle.discard(writer)
         if not line or not line.strip():
             return None
         try:

@@ -12,7 +12,6 @@ from repro.codegen import (
     anf_from_truth_table,
     circuit_from_truth_tables,
     emit_cuda,
-    emit_cuda_epilogue,
     emit_numpy,
 )
 from repro.codegen.anf import sbox_truth_tables
@@ -242,51 +241,6 @@ class TestEmitters:
         b.output("y", b.not_(x))
         src = emit_cuda(b.build())
         assert "_ones" not in src and "_zeros" not in src
-
-
-class TestCudaEpilogue:
-    def test_structure(self):
-        src = emit_cuda_epilogue(func_name="receipt")
-        assert "__device__" in src
-        assert "void receipt_word(" in src
-        assert "void receipt_store(" in src
-        assert "__popc(" in src and "__popcll" not in src
-        assert "RECEIPT_CRC32_POLY 0x04C11DB7u" in src
-        assert src.count("{") == src.count("}")
-
-    def test_word64_uses_popcll(self):
-        src = emit_cuda_epilogue(word_type="uint64_t")
-        assert "__popcll(" in src
-        assert "b < 8" in src  # eight byte folds per 64-bit word
-
-    def test_rejects_unknown_word_type(self):
-        with pytest.raises(ValueError, match="word_type"):
-            emit_cuda_epilogue(word_type="float")
-
-    @pytest.mark.parametrize("word_type", ["uint32_t", "uint64_t"])
-    def test_fold_matches_streamtouch_bit_for_bit(self, word_type):
-        """Simulate the emitted algorithm (MSB-first CRC, init
-        0xFFFFFFFF, no xorout, LSB-first bytes per word) and check it
-        reproduces the host single-touch receipt exactly."""
-        from repro.core.touch import StreamTouch
-
-        word_bytes = 4 if word_type == "uint32_t" else 8
-        rng = np.random.default_rng(7)
-        dtype = np.uint32 if word_bytes == 4 else np.uint64
-        words = rng.integers(0, 1 << 32, 33, dtype=np.uint64).astype(dtype)
-        crc, ones = 0xFFFFFFFF, 0
-        for w in words.tolist():  # the emitted device loop, in Python
-            ones += bin(w).count("1")
-            for b in range(word_bytes):
-                crc ^= ((w >> (8 * b)) & 0xFF) << 24
-                for _ in range(8):
-                    crc = ((crc << 1) & 0xFFFFFFFF) ^ (
-                        0x04C11DB7 if crc & 0x80000000 else 0
-                    )
-        touch = StreamTouch()
-        touch.update(words)  # little-endian memory-order bytes
-        assert crc == touch.crc
-        assert ones == touch.ones
 
 
 class TestMickeyCircuit:

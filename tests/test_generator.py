@@ -94,6 +94,22 @@ class TestEdgeCases:
         assert a == b
 
 
+class TestReadWithReceipt:
+    @pytest.mark.parametrize("alg", ["trivium", "aes128ctr"])
+    def test_bytes_equal_read_and_crc_equals_payload_crc(self, alg):
+        from repro.robust.supervisor import payload_crc
+
+        refill = BSRNG(alg, seed=6, lanes=64)._source.refill_bytes
+        for n in (0, 1, refill - 1, refill + 1, 3 * refill):
+            data, receipt = BSRNG(alg, seed=6, lanes=64).read_with_receipt(n)
+            assert data == BSRNG(alg, seed=6, lanes=64).read(n)
+            assert receipt.crc == payload_crc(data)
+
+    def test_negative_rejected(self):
+        with pytest.raises(SpecificationError):
+            BSRNG("mt19937", seed=0, lanes=8).read_with_receipt(-1)
+
+
 class TestSeedExpansion:
     def test_lane_count_changes_stream(self):
         a = BSRNG("mickey2", seed=1, lanes=32).random_uint64(8)

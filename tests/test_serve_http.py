@@ -24,6 +24,7 @@ member's n-th job.  A replacement member gets the next worker id.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import socket
 import threading
@@ -469,6 +470,33 @@ class TestGracefulDrain:
             assert tail.endswith(b"0\r\n\r\n"), (
                 "drain must end the open stream with a clean chunked terminator"
             )
+
+    def test_drain_closes_idle_keep_alive_at_once(self, caplog):
+        daemon = ServeDaemon(
+            ServeEngine(STREAM, workers=1),
+            DaemonConfig(port=0, chunk_bytes=2048, drain_grace=10.0),
+        )
+        thread = threading.Thread(target=lambda: asyncio.run(daemon.run()), daemon=True)
+        thread.start()
+        assert daemon.started.wait(30), "daemon failed to start"
+        try:
+            client = http.client.HTTPConnection("127.0.0.1", daemon.bound_port, timeout=30)
+            client.request("GET", "/v1/bytes?n=100")
+            resp = client.getresponse()
+            assert resp.status == 200
+            resp.read()  # the connection stays open, idle between requests
+            t0 = time.monotonic()
+            daemon.shutdown_threadsafe()
+            thread.join(20)
+            elapsed = time.monotonic() - t0
+            client.close()
+        finally:
+            obs.disable_metrics()
+            obs.registry().clear()
+        assert not thread.is_alive(), "daemon failed to drain"
+        assert elapsed < 2.0, f"drain waited {elapsed:.1f} s for an idle connection"
+        logged = [r.getMessage() for r in caplog.records]
+        assert not any("Exception in callback" in m for m in logged), logged
 
     def test_draining_daemon_reports_unhealthy_then_exits(self):
         # covered structurally: after shutdown the socket closes; the

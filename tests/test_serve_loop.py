@@ -11,19 +11,25 @@ tests pin that down end to end on an in-process daemon with one member:
 * a member SIGKILLed while no request is in flight is evicted and
   relaunched by the loop within ``heartbeat_timeout``, and the next
   request is bit-identical to the offline replay;
+* a member relaunched while a client is connected holds no socket of
+  the daemon's, only its own pipe;
 * after the drain, the loop no longer watches the transport.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import multiprocessing as mp
 import os
 import signal
+import sys
 import threading
 import time
 import urllib.request
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+
+import pytest
 
 from repro import obs
 from repro.fleet import FleetConfig
@@ -129,6 +135,44 @@ def test_idle_member_sigkill_is_evicted_and_relaunched_by_the_loop():
         assert workers()[member["worker_id"]]["evicted_reason"] == "crash"
         offset, body = fetch(base, 4096)
         assert body == offline_bytes(offset, 4096)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd")
+def test_relaunched_member_holds_only_its_own_socket():
+    fleet = FleetConfig(heartbeat_interval=0.2, heartbeat_timeout=1.0)
+    with loop_daemon(fleet) as (daemon, base):
+        # a keep-alive client stays connected while the member is replaced
+        client = http.client.HTTPConnection("127.0.0.1", daemon.bound_port, timeout=30)
+        client.request("GET", "/v1/bytes?n=4096")
+        resp = client.getresponse()
+        assert resp.status == 200
+        resp.read()
+        (member,) = daemon.engine.status()["fleet"]["workers"]
+        procs = {p.name: p for p in mp.active_children()}
+        os.kill(procs[f"fleet-worker-{member['worker_id']}"].pid, signal.SIGKILL)
+
+        def replacement() -> dict | None:
+            return next(
+                (
+                    w
+                    for w in daemon.engine.status()["fleet"]["workers"]
+                    if w["state"] == "live" and w["worker_id"] != member["worker_id"]
+                ),
+                None,
+            )
+
+        assert _wait_for(lambda: replacement() is not None, timeout=10)
+        name = f"fleet-worker-{replacement()['worker_id']}"
+        pid = next(p.pid for p in mp.active_children() if p.name == name)
+        fd_dir = f"/proc/{pid}/fd"
+        links = []
+        for fd in os.listdir(fd_dir):
+            with suppress(FileNotFoundError):
+                links.append(os.readlink(f"{fd_dir}/{fd}"))
+        sockets = [link for link in links if link.startswith("socket:")]
+        # its own pipe to the daemon; no listener, client or other member end
+        assert len(sockets) == 1, f"member {pid} holds sockets {sockets}"
+        client.close()
 
 
 def test_drain_removes_the_transport_reader():

@@ -9,7 +9,9 @@ deployment-critical path end to end:
 3. assert the granted leases never overlap and every payload matches an
    offline BSRNG positioned at the announced lease offset;
 4. lint the live ``/metrics`` exposition with :mod:`repro.obs.promlint`;
-5. send SIGTERM and require a graceful drain with exit status 0.
+5. leave one keep-alive connection idle after a request, send SIGTERM
+   and require a graceful drain within 5 s, exit status 0, and no
+   ``Traceback`` or ``Exception in callback`` in the daemon's output.
 
 Exit status: 0 = all green, 1 = any check failed.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import http.client
 import os
 import pathlib
 import re
@@ -131,11 +134,26 @@ def main(argv=None) -> int:
             fail(f"/metrics lint problems: {problems}")
         print("serve_smoke: /metrics lint clean")
 
+        # a keep-alive client left idle between requests must not hold
+        # up the drain: the default drain_grace is 10 s
+        idle = http.client.HTTPConnection(host, port, timeout=30)
+        idle.request("GET", "/v1/bytes?n=64")
+        resp = idle.getresponse()
+        resp.read()
+        if resp.status != 200:
+            fail(f"keep-alive request answered {resp.status}")
         proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=60)
-        if rc != 0:
-            fail(f"daemon exited {rc} after SIGTERM (expected graceful 0)")
-        print("serve_smoke: graceful drain, exit 0")
+        try:
+            output, _ = proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            fail("daemon still draining 5s after SIGTERM with one idle keep-alive client")
+        idle.close()
+        if proc.returncode != 0:
+            fail(f"daemon exited {proc.returncode} after SIGTERM (expected graceful 0)")
+        for marker in ("Traceback", "Exception in callback"):
+            if marker in output:
+                fail(f"daemon output during the drain holds {marker!r}:\n{output}")
+        print("serve_smoke: graceful drain within 5s, exit 0, clean output")
         print("serve_smoke: OK")
         return 0
     finally:
