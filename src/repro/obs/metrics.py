@@ -19,10 +19,11 @@ Three instrument kinds, deliberately Prometheus-shaped:
   a cumulative histogram with ``le = 2**(e+1)`` bucket bounds.
 
 Locking discipline: all instruments created by one registry share that
-registry's lock.  Increments take the lock — metric updates happen at
-refill/partition granularity (thousands per second at most), never per
-byte, so contention is irrelevant next to the vectorised work they
-account for.  The *disabled* fast path in :mod:`repro.obs` never reaches
+registry's lock.  Increments take the lock.  Metric updates happen at
+refill, partition or request granularity, never per byte.  The busiest
+caller is the serve daemon: a few updates per request, several thousand
+per second, on instruments it binds once, so no update pays a registry
+lookup.  The *disabled* fast path in :mod:`repro.obs` never reaches
 this module at all.
 """
 
@@ -210,7 +211,9 @@ class MetricsRegistry:
     def _get(self, kind: str, cls, name: str, labels: dict) -> _Instrument:
         if not name:
             raise SpecificationError("metric name must be non-empty")
-        key = (kind, name, _labels_key(labels))
+        # an unlabelled instrument (most of the fleet's per-chunk
+        # counters) skips building a sorted label key
+        key = (kind, name, _labels_key(labels) if labels else ())
         with self._lock:
             inst = self._metrics.get(key)
             if inst is None:

@@ -62,8 +62,24 @@ fails after the head went out (fleet exhausted, no degradation) cancels
 the rest and closes the connection: the client sees a truncated body,
 never a second status line.
 
+**Request heads.**  A request head is read whole, up to its blank line,
+under one deadline: a connection whose head has not fully arrived
+``idle_timeout`` after the daemon began to read it is aborted, whether
+it sent nothing (an idle keep-alive) or stopped mid-head.  A head must
+end in CRLF CRLF: one whose lines end in bare LF never completes and is
+closed at that deadline, and one longer than the stream limit (64 KiB)
+is closed at once.
+
+**Metrics.**  The fixed-label series a request updates (``requests_total``
+for status 200, ``bytes_total``, ``leases_total`` and each endpoint's
+``request_seconds``) are bound once, so a request does not look them up
+in the registry.  The lease and stream gauges are not kept per request:
+they are computed when ``/metrics`` is rendered, and once more when the
+daemon stops.
+
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
-close keep-alive connections idle between requests, let in-flight
+close keep-alive connections idle between requests (a connection whose
+next request head has not fully arrived counts as idle), let in-flight
 requests finish (open-ended streams end at the next chunk boundary with
 a clean chunked terminator), and only cancel stragglers after
 ``drain_grace`` seconds.  Exit is 0 and the fleet's members are
@@ -84,7 +100,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl
 
 from repro import obs
 from repro.errors import DeviceFailureError, SpecificationError
@@ -92,6 +108,7 @@ from repro.obs import context as trace_context
 from repro.obs import flight
 from repro.obs.context import TraceContext
 from repro.obs.export import render_prometheus
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import span
 from repro.serve.engine import ChunkTicket, ServeEngine
 from repro.serve.leases import Lease, LeaseManager
@@ -110,6 +127,16 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+@functools.lru_cache(maxsize=64)
+def _head_prefix(status: int, content_type: str) -> str:
+    """The constant first lines of a response head."""
+    return (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        f"Server: {_SERVER_NAME}\r\n"
+        f"Content-Type: {content_type}\r\n"
+    )
 
 
 def _raw_frame(data: bytes) -> bytes:
@@ -165,16 +192,16 @@ class _GridChunk:
 
 
 class _Request:
-    """One parsed HTTP request (method, path, query, headers, trace)."""
+    """One parsed HTTP request (method, path, query, headers, peer, trace)."""
 
-    __slots__ = ("method", "path", "query", "headers", "trace")
+    __slots__ = ("method", "path", "query", "headers", "peer", "trace")
 
-    def __init__(self, method: str, target: str, headers: dict[str, str]) -> None:
+    def __init__(self, method: str, target: str, headers: dict[str, str], peer: str) -> None:
         self.method = method
-        parts = urlsplit(target)
-        self.path = parts.path
-        self.query = dict(parse_qsl(parts.query))
+        self.path, _, query = target.partition("?")
+        self.query = dict(parse_qsl(query)) if query else {}
         self.headers = headers
+        self.peer = peer  # the client's address, for the lease ledger
         # the TraceContext this request runs under (set by _dispatch:
         # adopted from X-Repro-Trace-* headers or minted fresh)
         self.trace: TraceContext | None = None
@@ -200,13 +227,26 @@ class ServeDaemon:
         self._chunk_seq = itertools.count()  # serve.chunk span numbering
         self._shared: dict[int, _GridChunk] = {}  # edge chunks, by grid index
         self._conn_tasks: set[asyncio.Task] = set()
-        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a request line
+        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a whole request head
         self._draining = False
         self._requests_total = 0
         self._bytes_served = 0
         self._active_streams = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
+        # a daemon driven without run() (as tests do) counts into a
+        # registry of its own; run() binds the live one
+        self._bind_metrics(MetricsRegistry())
+
+    def _bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Bind the series every request updates once, so a request does
+        not look them up; ``request_seconds`` is bound per endpoint on the
+        endpoint's first request."""
+        self._metrics = registry
+        self._ok_total = registry.counter("repro_serve_requests_total", status=200)
+        self._bytes_total = registry.counter("repro_serve_bytes_total")
+        self._leases_total = registry.counter("repro_serve_leases_total")
+        self._request_seconds: dict[str, Histogram] = {}
 
     # -- lifecycle ---------------------------------------------------------------
     def request_shutdown(self) -> None:
@@ -243,6 +283,7 @@ class ServeDaemon:
         self._loop = asyncio.get_running_loop()
         self.engine.start(chunk_bytes=self.config.chunk_bytes, loop=self._loop)
         obs.enable_metrics()
+        self._bind_metrics(obs.registry())
         flight.set_role("daemon")
         tracer = obs.active_tracer()
         if tracer is not None:
@@ -287,6 +328,7 @@ class ServeDaemon:
                     len(pending),
                 )
         finally:
+            self._set_gauges()  # a --metrics-out snapshot carries them too
             self.engine.close()
             self.leases.close()
             self.started.clear()
@@ -297,9 +339,10 @@ class ServeDaemon:
     ) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        peer = str(writer.get_extra_info("peername"))
         try:
             while not self._draining:
-                request = await self._read_request(reader, writer)
+                request = await self._read_request(reader, writer, peer)
                 if request is None:
                     break
                 self._requests_total += 1
@@ -323,35 +366,34 @@ class ServeDaemon:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str
     ) -> _Request | None:
-        """Parse one request head; ``None`` on EOF or idle timeout.
+        """Parse one request head; ``None`` on EOF, a malformed or oversize
+        head, or its deadline.
 
-        While it waits for the request line the connection is idle, and
-        a drain closes *writer* at once instead of waiting it out."""
+        The whole head must arrive within ``idle_timeout``: one timer per
+        head aborts the transport when it fires, which ends the read with
+        EOF.  Until the head is in, the connection is idle, and a drain
+        closes *writer* at once instead of waiting it out."""
+        timer = self._loop.call_later(self.config.idle_timeout, writer.transport.abort)
         self._idle.add(writer)
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.config.idle_timeout
-            )
-        except asyncio.TimeoutError:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return None
         finally:
+            timer.cancel()
             self._idle.discard(writer)
-        if not line or not line.strip():
-            return None
+        lines = head.decode("latin-1").split("\r\n")
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
+            method, target, _version = lines[0].split(None, 2)
         except ValueError:
             return None
         headers: dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if not hline or hline in (b"\r\n", b"\n"):
-                break
-            name, _, value = hline.decode("latin-1").partition(":")
+        for line in lines[1:-2]:  # the head ends in two empty strings
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        return _Request(method.upper(), target, headers)
+        return _Request(method.upper(), target, headers, peer)
 
     # -- response plumbing -------------------------------------------------------
     @staticmethod
@@ -363,19 +405,16 @@ class ServeDaemon:
         chunked: bool = False,
         keep_alive: bool = True,
     ) -> bytes:
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Server: {_SERVER_NAME}",
-            f"Content-Type: {content_type}",
-        ]
+        parts = [_head_prefix(status, content_type)]
         if chunked:
-            lines.append("Transfer-Encoding: chunked")
+            parts.append("Transfer-Encoding: chunked\r\n")
         elif content_length is not None:
-            lines.append(f"Content-Length: {content_length}")
-        lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
+            parts.append(f"Content-Length: {content_length}\r\n")
+        parts.append("Connection: keep-alive\r\n" if keep_alive else "Connection: close\r\n")
         for name, value in (extra or {}).items():
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            parts.append(f"{name}: {value}\r\n")
+        parts.append("\r\n")
+        return "".join(parts).encode("latin-1")
 
     async def _send_simple(
         self,
@@ -397,7 +436,10 @@ class ServeDaemon:
             + body
         )
         await writer.drain()
-        obs.inc("repro_serve_requests_total", 1, status=status)
+        if status == 200:
+            self._ok_total.inc()
+        else:  # error statuses are rare: they look their series up
+            obs.inc("repro_serve_requests_total", 1, status=status)
         return keep_alive
 
     @staticmethod
@@ -434,11 +476,12 @@ class ServeDaemon:
                 keep_alive=False,
             )
         finally:
-            obs.observe(
-                "repro_serve_request_seconds",
-                time.perf_counter() - t0,
-                endpoint=endpoint,
-            )
+            seconds = self._request_seconds.get(endpoint)
+            if seconds is None:
+                seconds = self._request_seconds[endpoint] = self._metrics.histogram(
+                    "repro_serve_request_seconds", endpoint=endpoint
+                )
+            seconds.observe(time.perf_counter() - t0)
 
     async def _route(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
         if request.method != "GET":
@@ -494,6 +537,7 @@ class ServeDaemon:
         """Grant the next *n* stream bytes; the lease holds its edge chunks
         at once, so a neighbour that reads one first cannot forget it."""
         lease = self.leases.acquire(n, client=client)
+        self._leases_total.inc()
         for g in self._edges(lease):
             self._shared_chunk(g, lease)
         return lease
@@ -664,7 +708,7 @@ class ServeDaemon:
                         obs.inc("repro_serve_backpressure_waits_total")  # drain will wait
                     await writer.drain()
                     self._bytes_served += len(data)
-                    obs.inc("repro_serve_bytes_total", len(data))
+                    self._bytes_total.inc(len(data))
             except (ConnectionResetError, BrokenPipeError):
                 raise
             except Exception as exc:
@@ -689,8 +733,7 @@ class ServeDaemon:
         fmt = request.query.get("format", "raw")
         if fmt not in ("raw", "hex"):
             raise SpecificationError("format must be 'raw' or 'hex'")
-        peer = writer.get_extra_info("peername")
-        lease = self._lease(n, str(peer))
+        lease = self._lease(n, request.peer)
         try:
             extra = {
                 "X-Repro-Lease-Id": str(lease.lease_id),
@@ -712,7 +755,7 @@ class ServeDaemon:
                 await writer.drain()
         finally:
             self._release(lease)
-        obs.inc("repro_serve_requests_total", 1, status=200)
+        self._ok_total.inc()
         return True
 
     async def _serve_stream(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
@@ -723,33 +766,30 @@ class ServeDaemon:
             raise SpecificationError("chunk and n must be integers") from None
         if chunk <= 0:
             raise SpecificationError("chunk must be positive")
-        peer = str(writer.get_extra_info("peername"))
         extra = {
             "X-Repro-Algorithm": self.engine.config.algorithm,
             **self._trace_headers(request),
         }
         lease = None
         if total is not None:
-            lease = self._lease(total, peer)
+            lease = self._lease(total, request.peer)
             extra["X-Repro-Lease-Id"] = str(lease.lease_id)
             extra["X-Repro-Lease-Offset"] = str(lease.offset)
             extra["X-Repro-Lease-Length"] = str(lease.length)
             ranges = self._pieces(lease, chunk)
         else:
-            ranges = self._open_ended(chunk, peer)
+            ranges = self._open_ended(chunk, request.peer)
         head = self._head(200, "application/octet-stream", extra, chunked=True)
         self._active_streams += 1
-        obs.set_gauge("repro_serve_active_streams", self._active_streams)
         try:
             if await self._send_body(writer, head, self._pipeline(ranges), _chunked_frame):
                 writer.write(b"0\r\n\r\n")
                 await writer.drain()
-                obs.inc("repro_serve_requests_total", 1, status=200)
+                self._ok_total.inc()
         finally:
             if lease is not None:
                 self._release(lease)
             self._active_streams -= 1
-            obs.set_gauge("repro_serve_active_streams", self._active_streams)
         return False  # one stream per connection
 
     def _open_ended(self, chunk: int, peer: str) -> Iterator[tuple[int, int, Lease, bool]]:
@@ -765,8 +805,17 @@ class ServeDaemon:
         ok = health["healthy"] and not self._draining
         return await self._send_simple(writer, 200 if ok else 503, self._json(health))
 
+    def _set_gauges(self) -> None:
+        """Compute the daemon's gauges from its state now (at scrape time,
+        as Prometheus collectors do), not on every request."""
+        gauge = self._metrics.gauge
+        gauge("repro_serve_uptime_seconds").set(round(time.monotonic() - self._t0, 3))
+        gauge("repro_serve_lease_high_water_bytes").set(self.leases.high_water)
+        gauge("repro_serve_active_leases").set(len(self.leases.active_leases()))
+        gauge("repro_serve_active_streams").set(self._active_streams)
+
     async def _serve_metrics(self, writer: asyncio.StreamWriter) -> bool:
-        obs.set_gauge("repro_serve_uptime_seconds", round(time.monotonic() - self._t0, 3))
+        self._set_gauges()
         text = render_prometheus(obs.registry().snapshot())
         return await self._send_simple(
             writer,

@@ -36,7 +36,6 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-from repro import obs
 from repro.errors import SpecificationError
 
 __all__ = ["Lease", "LeaseManager"]
@@ -179,9 +178,6 @@ class LeaseManager:
             self._next_id += 1
             self._next_offset = lease.end
             self._active[lease.lease_id] = lease
-            obs.inc("repro_serve_leases_total")
-            obs.set_gauge("repro_serve_lease_high_water_bytes", self._next_offset)
-            obs.set_gauge("repro_serve_active_leases", len(self._active))
             return lease
 
     def release(self, lease_id: int) -> bool:
@@ -194,7 +190,6 @@ class LeaseManager:
                 return False
             self._append({"op": "release", "lease_id": lease_id})
             self._released += 1
-            obs.set_gauge("repro_serve_active_leases", len(self._active))
             return True
 
     # -- introspection -----------------------------------------------------------

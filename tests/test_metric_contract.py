@@ -9,12 +9,18 @@ a series.
 
 from __future__ import annotations
 
+import asyncio
+import http.client
+import threading
+
 from repro import obs
+from repro.obs.dashboard import gauge_value, parse_prometheus
 from repro.fleet import FleetConfig, Message
 from repro.gpu.multigpu import MultiDeviceGenerator
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan, StuckBSRNG
 from repro.robust.health import HealthMonitoredBSRNG
 from repro.robust.supervisor import payload_crc
+from repro.serve import DaemonConfig, ServeDaemon
 from repro.serve.engine import ServeEngine, StreamConfig
 from tests.test_fleet import make_fleet, register_all, result_msg, stream_bytes
 
@@ -84,6 +90,69 @@ def test_serve_pool_series(monkeypatch):
                 engine.close()
         assert engine.stats.worker_errors == 1 and engine.stats.crc_rejects == 1
         assert series(reg) == expected, chunk
+
+
+#: The series a running daemon records itself, whatever its engine
+#: records: the request counters and histogram it binds once, the
+#: gauges it computes when ``/metrics`` is rendered and when it stops,
+#: and the health gauge.
+SERVE_DAEMON = {
+    ("repro_serve_active_leases", ()),
+    ("repro_serve_active_streams", ()),
+    ("repro_serve_bytes_total", ()),
+    ("repro_serve_healthy", ()),
+    ("repro_serve_lease_high_water_bytes", ()),
+    ("repro_serve_leases_total", ()),
+    ("repro_serve_request_seconds", ("endpoint",)),
+    ("repro_serve_requests_total", ("status",)),
+    ("repro_serve_uptime_seconds", ()),
+}
+
+
+def test_serve_daemon_series():
+    n, before, after = 1000, 5, 3  # requests before and after the scrape
+    daemon = ServeDaemon(
+        ServeEngine(StreamConfig(algorithm="trivium", seed=7, lanes=256), workers=0),
+        DaemonConfig(port=0, chunk_bytes=2048),
+    )
+    with obs.scoped() as reg:
+        thread = threading.Thread(target=lambda: asyncio.run(daemon.run()), daemon=True)
+        thread.start()
+        try:
+            assert daemon.started.wait(30), "daemon failed to start"
+            # one keep-alive connection: each lease is released before
+            # the daemon reads the next request
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.bound_port, timeout=30)
+
+            def get(path: str) -> bytes:
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                assert resp.status == 200, path
+                return resp.read()
+
+            for _ in range(before):
+                assert len(get(f"/v1/bytes?n={n}")) == n
+            scraped = parse_prometheus(get("/metrics").decode())
+            for _ in range(after):
+                get(f"/v1/bytes?n={n}")
+            conn.close()
+        finally:
+            daemon.shutdown_threadsafe()
+            thread.join(20)
+        assert not thread.is_alive(), "daemon failed to drain"
+    assert gauge_value(scraped, "repro_serve_lease_high_water_bytes", -1) == before * n
+    assert gauge_value(scraped, "repro_serve_active_leases", -1) == 0
+    assert gauge_value(scraped, "repro_serve_active_streams", -1) == 0
+    # the stop sets them again, for a --metrics-out snapshot
+    gauges = {
+        entry["name"]: entry["value"]
+        for entry in reg.snapshot()["metrics"]
+        if entry["type"] == "gauge"
+    }
+    assert gauges["repro_serve_lease_high_water_bytes"] == (before + after) * n
+    assert gauges["repro_serve_active_leases"] == 0
+    assert reg.counter("repro_serve_leases_total").value == before + after
+    assert {s for s in series(reg) if s[0].startswith("repro_serve_")} == SERVE_DAEMON
 
 
 FLEET = {

@@ -74,6 +74,21 @@ def test_get_or_create_identity():
     assert len(reg) == 2
 
 
+def test_labelled_and_unlabelled_series_of_one_name_stay_distinct():
+    reg = MetricsRegistry()
+    bare = reg.counter("c")
+    labelled = reg.counter("c", worker=1)
+    assert bare is not labelled
+    assert reg.counter("c") is bare
+    assert reg.counter("c", worker="1") is labelled
+    bare.inc(2)
+    labelled.inc(3)
+    entries = {
+        tuple(sorted(e["labels"].items())): e["value"] for e in reg.snapshot()["metrics"]
+    }
+    assert entries == {(): 2, (("worker", "1"),): 3}
+
+
 def test_kind_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("n")

@@ -55,6 +55,7 @@ def running_daemon(
     journal_path: str | None = None,
     qa=None,
     drain_grace: float = 10.0,
+    idle_timeout: float = 30.0,
 ):
     engine = ServeEngine(STREAM, workers=workers, screen=screen, fleet=fleet, qa=qa)
     daemon = ServeDaemon(
@@ -64,6 +65,7 @@ def running_daemon(
             chunk_bytes=chunk_bytes,
             queue_depth=queue_depth,
             drain_grace=drain_grace,
+            idle_timeout=idle_timeout,
             journal_path=journal_path,
         ),
     )
@@ -471,7 +473,11 @@ class TestGracefulDrain:
                 "drain must end the open stream with a clean chunked terminator"
             )
 
-    def test_drain_closes_idle_keep_alive_at_once(self, caplog):
+    @staticmethod
+    def _drain_with_keep_alive(caplog, then: bytes = b"") -> float:
+        """Seconds a drain takes while one keep-alive client, answered
+        once, has sent *then* since; the drain must log no callback
+        exception."""
         daemon = ServeDaemon(
             ServeEngine(STREAM, workers=1),
             DaemonConfig(port=0, chunk_bytes=2048, drain_grace=10.0),
@@ -485,6 +491,9 @@ class TestGracefulDrain:
             resp = client.getresponse()
             assert resp.status == 200
             resp.read()  # the connection stays open, idle between requests
+            if then:
+                client.sock.sendall(then)
+                time.sleep(0.3)  # let the daemon read it
             t0 = time.monotonic()
             daemon.shutdown_threadsafe()
             thread.join(20)
@@ -494,9 +503,18 @@ class TestGracefulDrain:
             obs.disable_metrics()
             obs.registry().clear()
         assert not thread.is_alive(), "daemon failed to drain"
-        assert elapsed < 2.0, f"drain waited {elapsed:.1f} s for an idle connection"
         logged = [r.getMessage() for r in caplog.records]
         assert not any("Exception in callback" in m for m in logged), logged
+        return elapsed
+
+    def test_drain_closes_idle_keep_alive_at_once(self, caplog):
+        elapsed = self._drain_with_keep_alive(caplog)
+        assert elapsed < 2.0, f"drain waited {elapsed:.1f} s for an idle connection"
+
+    def test_drain_closes_half_sent_head_at_once(self, caplog):
+        # the next request stops after its request line
+        elapsed = self._drain_with_keep_alive(caplog, b"GET /v1/bytes?n=10 HTTP/1.1\r\n")
+        assert elapsed < 2.0, f"drain waited {elapsed:.1f} s for a half-sent head"
 
     def test_draining_daemon_reports_unhealthy_then_exits(self):
         # covered structurally: after shutdown the socket closes; the
@@ -512,6 +530,52 @@ class TestGracefulDrain:
                 fetch_bytes("127.0.0.1", daemon.bound_port, 1500)
             )
             assert payload == offline_bytes(offset, 1500)
+
+
+def _closed_without_reply(sock: socket.socket, timeout: float) -> bool:
+    """Whether the daemon closes *sock* within *timeout* s, sending nothing."""
+    sock.settimeout(timeout)
+    try:
+        return sock.recv(1024) == b""
+    except ConnectionResetError:
+        return True
+    except socket.timeout:
+        return False
+
+
+class TestRequestHead:
+    """A request head is read whole under one ``idle_timeout`` deadline."""
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # the request line, and then nothing
+            b"GET /v1/bytes?n=10 HTTP/1.1\r\n",
+            # a complete head whose lines end in bare LF: refused, since
+            # the head must end in CRLF CRLF
+            b"GET /healthz HTTP/1.1\nHost: x\n\n",
+        ],
+        ids=["half-sent", "bare-lf"],
+    )
+    def test_unfinished_head_is_closed_within_idle_timeout(self, head):
+        with running_daemon(idle_timeout=0.5) as (daemon, _):
+            with socket.create_connection(("127.0.0.1", daemon.bound_port), timeout=30) as sock:
+                sock.sendall(head)
+                t0 = time.monotonic()
+                assert _closed_without_reply(sock, 5.0), "the daemon kept the connection"
+                assert time.monotonic() - t0 < 2.0
+            # the daemon still serves
+            assert get(f"http://127.0.0.1:{daemon.bound_port}/healthz")[0] == 200
+
+    def test_oversize_head_is_closed_at_once(self, daemon):
+        d, base = daemon
+        with socket.create_connection(("127.0.0.1", d.bound_port), timeout=30) as sock:
+            try:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 17))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # closed before it read the rest
+            assert _closed_without_reply(sock, 5.0), "the daemon kept the connection"
+        assert get(f"{base}/healthz")[0] == 200
 
 
 class TestTraceHeaders:

@@ -9,9 +9,10 @@ deployment-critical path end to end:
 3. assert the granted leases never overlap and every payload matches an
    offline BSRNG positioned at the announced lease offset;
 4. lint the live ``/metrics`` exposition with :mod:`repro.obs.promlint`;
-5. leave one keep-alive connection idle after a request, send SIGTERM
-   and require a graceful drain within 5 s, exit status 0, and no
-   ``Traceback`` or ``Exception in callback`` in the daemon's output.
+5. leave one keep-alive connection idle after a request and another
+   stopped mid-head after its request line, send SIGTERM and require a
+   graceful drain within 5 s, exit status 0, and no ``Traceback`` or
+   ``Exception in callback`` in the daemon's output.
 
 Exit status: 0 = all green, 1 = any check failed.
 
@@ -29,6 +30,7 @@ import os
 import pathlib
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -134,20 +136,25 @@ def main(argv=None) -> int:
             fail(f"/metrics lint problems: {problems}")
         print("serve_smoke: /metrics lint clean")
 
-        # a keep-alive client left idle between requests must not hold
-        # up the drain: the default drain_grace is 10 s
+        # a keep-alive client left idle between requests, and one that
+        # stopped mid-head, must not hold up the drain: the default
+        # drain_grace is 10 s
         idle = http.client.HTTPConnection(host, port, timeout=30)
         idle.request("GET", "/v1/bytes?n=64")
         resp = idle.getresponse()
         resp.read()
         if resp.status != 200:
             fail(f"keep-alive request answered {resp.status}")
+        half = socket.create_connection((host, port), timeout=30)
+        half.sendall(b"GET /v1/bytes?n=10 HTTP/1.1\r\n")
+        time.sleep(0.3)  # let the daemon read the request line
         proc.send_signal(signal.SIGTERM)
         try:
             output, _ = proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
-            fail("daemon still draining 5s after SIGTERM with one idle keep-alive client")
+            fail("daemon still draining 5s after SIGTERM with an idle and a half-sent-head client")
         idle.close()
+        half.close()
         if proc.returncode != 0:
             fail(f"daemon exited {proc.returncode} after SIGTERM (expected graceful 0)")
         for marker in ("Traceback", "Exception in callback"):
