@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Elastic fleet benchmark: supervised scale-out cost and chaos retention.
+"""Fleet benchmark: supervised scale-out cost and chaos retention (fixed size).
 
 Three timed runs over the same deterministic stream:
 
@@ -70,7 +70,7 @@ def run_fleet(
     plan: FaultPlan | None = None,
 ) -> tuple[bytes, float, dict]:
     controller = FleetController(stream, config, fault_plan=plan)
-    controller.start(supervise=True)
+    controller.start()
     try:
         t0 = time.perf_counter()
         data = controller.read_range(0, n_bytes)
@@ -95,12 +95,10 @@ def main(argv=None) -> int:
     stream = StreamConfig(algorithm=args.algorithm, seed=13, lanes=args.lanes)
     config = FleetConfig(
         workers=args.workers,
-        max_workers=args.workers * 2,
         heartbeat_interval=0.25,
         heartbeat_timeout=5.0,
         chunk_bytes=chunk_bytes,
         max_strikes=2,
-        scale_up_backlog=1000,  # fixed membership: measure supervision, not growth
     )
     n_chunks = math.ceil(n_bytes / chunk_bytes)
     plan = FaultPlan(

@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n", "--bytes", type=int, default=1 << 20, dest="n_bytes",
         help="total bytes to generate through the fleet (default 1 MiB)",
     )
-    fleet.add_argument("--workers", type=int, default=2, help="initial fleet size")
+    fleet.add_argument("--workers", type=int, default=2, help="fleet size")
     fleet.add_argument(
         "--chunk-bytes", type=int, default=1 << 16,
         help="bytes per fleet job (default 64 KiB)",
@@ -912,7 +912,6 @@ def _cmd_fleet(args) -> int:
     stream = _stream_config(args)
     config = FleetConfig(
         workers=args.workers,
-        max_workers=max(args.workers * 2, args.workers + 2),
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_timeout=args.heartbeat_timeout,
         chunk_bytes=args.chunk_bytes,
@@ -924,7 +923,7 @@ def _cmd_fleet(args) -> int:
     )
     with _telemetry(args), span("fleet", algo=args.algorithm, n=args.n_bytes):
         controller = FleetController(stream, config)
-        controller.start(supervise=True)
+        controller.start()
         try:
             t0 = _time.perf_counter()
             data = controller.read_range(0, args.n_bytes)
@@ -943,11 +942,10 @@ def _cmd_fleet(args) -> int:
         f"evictions: {counters['evictions']}, "
         f"reassignments: {counters['reassignments']}, "
         f"stale results: {counters['stale_results']}, "
-        f"scale up/down: {counters['scale_ups']}/{counters['scale_downs']}, "
         f"degraded chunks: {counters['degraded_chunks']}"
     )
     for event in status["events"]:
-        if event["kind"] in ("evict", "scale_up", "scale_down", "degrade"):
+        if event["kind"] in ("evict", "degrade"):
             print(f"  [{event['at']:.3f}] {event['kind']} worker {event['worker_id']}: {event['detail']}")
     if args.output:
         with open(args.output, "wb") as fh:

@@ -1,4 +1,4 @@
-"""Elastic worker fleet: heartbeat-supervised membership over a transport.
+"""Worker fleet: heartbeat-supervised, fixed-size membership over a transport.
 
 The paper's multi-GPU measurements (§VI, 2–8 devices) assume every
 device is healthy for the whole run.  This package generalises the
@@ -25,8 +25,10 @@ partitions as jobs on an ephemeral one through
   deadline-based liveness over the heartbeats, CRC receipt
   verification, eviction with **job reassignment** (job ids are never
   reissued and each is accepted at most once, so the merged output
-  stays bit-identical to a single-device run), elastic resizing, and
-  inline degradation when the whole fleet is gone.
+  stays bit-identical to a single-device run), relaunch within an
+  eviction budget, and inline degradation when the whole fleet is gone.
+  The fleet has a fixed size and starts no thread: whoever waits for a
+  result pumps it.
 
 Everything the controller observes is published through :mod:`repro.obs`
 (`repro_fleet_workers`, `repro_fleet_evictions_total`, ...), and

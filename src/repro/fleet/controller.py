@@ -43,16 +43,16 @@ full of anonymous workers into *supervised membership*:
   way; :meth:`FleetController.read_range` is the one-range case.
   :meth:`FleetController.submit` and :meth:`FleetController.take` do the
   same for jobs of any kind, one result at a time.
-* **Elasticity**: the fleet relaunches evicted members toward its target
-  size, scales the target up when the job backlog outgrows the
-  membership and back down after a sustained idle period, and — once the
-  eviction budget is spent and no member is left — degrades to inline
-  generation rather than surfacing an error to callers.
+* **Fixed size**: the fleet holds ``workers`` members.  It relaunches an
+  evicted member within its eviction budget, never grows under backlog
+  and never drains an idle member; once the budget is spent and no
+  member is left it degrades to inline generation rather than surfacing
+  an error to callers.
 
 All of it is observable through :mod:`repro.obs`:
 ``repro_fleet_workers{state=...}``, ``repro_fleet_evictions_total{reason=...}``,
 ``repro_fleet_lease_reassignments_total``, ``repro_fleet_stale_results_total``,
-``repro_fleet_heartbeats_total``, ``repro_fleet_scale_events_total{direction=...}``,
+``repro_fleet_heartbeats_total``,
 ``repro_fleet_worker_{jobs,bytes}_total{worker=...}`` (counted here, on
 acceptance) and the ``repro_fleet_drain_seconds`` histogram.  A member's
 own series (its generator's) ride its heartbeat as one delta per
@@ -62,11 +62,11 @@ or :meth:`FleetController.close` loses at most its last interval.
 The controller is deliberately single-brained: one lock guards all
 membership state, and one *pump* at a time moves messages from the
 transport into that state.  Whoever waits pumps: a caller blocked in
-:meth:`FleetController.collect`, the optional supervision thread, or an
-event loop watching the transport's descriptor (the serve daemon:
-its loop pumps as results land and on a liveness tick, then collects
-with :meth:`FleetController.poll_collect`, so no other thread is
-involved).  No thread is dedicated to a worker.
+:meth:`FleetController.collect`, a supervisor's wait loop, or an event
+loop watching the transport's descriptor (the serve daemon: its loop
+pumps as results land and on a liveness tick, then collects with
+:meth:`FleetController.poll_collect`).  The controller starts no thread
+of its own.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ __all__ = [
 ]
 
 #: Membership states a worker moves through (forward-only).
-WORKER_STATES = ("launching", "live", "draining", "drained", "evicted")
+WORKER_STATES = ("launching", "live", "evicted")
 
 #: How many membership events :attr:`FleetController.events` keeps.
 EVENTS_KEPT = 50
@@ -121,33 +121,24 @@ EVICTION_REASONS = ("heartbeat", "crash", "corrupt")
 class FleetConfig:
     """Fleet sizing, liveness and receipt policy.
 
-    ``workers`` is the *initial target*; elasticity moves the target
-    inside ``[min_workers, max_workers]``.  ``heartbeat_timeout`` should
+    ``workers`` is the fleet's fixed size.  ``heartbeat_timeout`` should
     comfortably exceed ``heartbeat_interval`` (3x or more) so scheduler
     jitter alone cannot evict a healthy member.
     """
 
     workers: int = 2
-    min_workers: int = 1
-    max_workers: int = 8
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 5.0
     chunk_bytes: int = 1 << 16
     max_inflight_per_worker: int = 2  # pipelining depth per member
     max_strikes: int = 2  # CRC receipt failures before eviction
     max_evictions: int = 16  # relaunch budget; beyond it, degrade inline (or fail)
-    scale_up_backlog: int = 4  # pending jobs per live worker that adds one
-    scale_down_idle_s: float = 30.0  # sustained idle that removes one
     degrade_inline: bool = True
     mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise SpecificationError("workers must be positive")
-        if not 0 < self.min_workers <= self.max_workers:
-            raise SpecificationError("need 0 < min_workers <= max_workers")
-        if not self.min_workers <= self.workers <= self.max_workers:
-            raise SpecificationError("workers must lie in [min_workers, max_workers]")
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise SpecificationError("heartbeat interval and timeout must be positive")
         if self.heartbeat_timeout < self.heartbeat_interval:
@@ -160,10 +151,6 @@ class FleetConfig:
             raise SpecificationError("max_strikes must be positive")
         if self.max_evictions < 0:
             raise SpecificationError("max_evictions must be non-negative")
-        if self.scale_up_backlog <= 0:
-            raise SpecificationError("scale_up_backlog must be positive")
-        if self.scale_down_idle_s <= 0:
-            raise SpecificationError("scale_down_idle_s must be positive")
 
 
 @dataclass
@@ -200,7 +187,7 @@ class WorkerInfo:
 class FleetEvent:
     """One membership change, kept for status and post-mortems."""
 
-    kind: str  # evict | reassign | scale_up | scale_down | stale_result | degrade
+    kind: str  # evict | reassign | stale_result | degrade
     worker_id: int
     detail: str = ""
     at: float = 0.0
@@ -268,7 +255,7 @@ class FleetController:
             if self.config.chunk_bytes > RING_MIN_BYTES:
                 self._ring = SharedMemoryRing.try_create(
                     self.config.chunk_bytes,
-                    self.config.max_workers * self.config.max_inflight_per_worker,
+                    self.config.workers * self.config.max_inflight_per_worker,
                     self.config.mp_context,
                 )
             spec = WorkerSpec(
@@ -305,7 +292,6 @@ class FleetController:
 
         self._next_worker_id = 0
         self._dispatch_seq = itertools.count(1)
-        self._idle_since: float | None = None
         self.events: deque[FleetEvent] = deque(maxlen=EVENTS_KEPT)  # the most recent
         self.evictions = 0
         self._budget_from = 0  # evictions before the current relaunch budget
@@ -314,24 +300,18 @@ class FleetController:
         self.requeues = 0
         self.receipt_failures = 0
         self.stale_results = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.degraded_chunks = 0
         self.jobs_completed = 0
 
         self._started = False
         self._closed = False
-        self._stop = threading.Event()
-        self._supervisor: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------------
-    def start(self, supervise: bool = True) -> None:
-        """Launch the initial membership (idempotent).
+    def start(self) -> None:
+        """Launch the membership (idempotent).
 
-        With ``supervise=True`` a daemon thread pumps the transport
-        continuously, so liveness is enforced even while no caller waits
-        in :meth:`read_range`.  Without it the fleet is pumped only by
-        waiting callers (tests, batch use) or by whoever calls
+        No thread is started: the fleet is pumped by waiting callers
+        (:meth:`collect`, :meth:`read_range`) or by whoever calls
         :meth:`pump` on a schedule of its own (the serve daemon's loop).
         """
         with self._lock:
@@ -344,33 +324,15 @@ class FleetController:
             for _ in range(self.target):
                 self._launch(now)
             self._publish_membership()
-        if supervise and self._supervisor is None:
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop, name="fleet-supervisor", daemon=True
-            )
-            self._supervisor.start()
 
     @property
     def supervise_period(self) -> float:
-        """Seconds between liveness pumps while nothing else pumps."""
+        """Seconds between liveness pumps while nothing else pumps (the
+        serve daemon's tick)."""
         return min(self.config.heartbeat_interval / 2.0, 0.25)
-
-    def _supervise_loop(self) -> None:
-        period = self.supervise_period
-        while not self._stop.is_set():
-            try:
-                self.pump(period)
-            except Exception:  # pragma: no cover - supervision must not die
-                if self._stop.is_set() or self._closed:
-                    return
-                self._stop.wait(period)
 
     def close(self) -> None:
         """Drain nothing, stop everything: kill members, free the transport."""
-        self._stop.set()
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=5.0)
-            self._supervisor = None
         with self._lock:
             if self._closed:
                 return
@@ -429,7 +391,7 @@ class FleetController:
             self._check_liveness(self.clock() if now is None else now)
 
     def reconcile(self, now: float | None = None) -> None:
-        """Relaunch toward target, autoscale, assign pending jobs (public for tests)."""
+        """Relaunch toward target, assign pending jobs (public for tests)."""
         with self._lock:
             self._reconcile(self.clock() if now is None else now)
 
@@ -442,26 +404,17 @@ class FleetController:
                 self._publish_membership()
             return
         if msg.kind == "heartbeat":
-            if member is not None and member.state in ("live", "draining"):
+            if member is not None and member.state == "live":
                 member.last_heartbeat = now
                 member.heartbeats += 1
                 obs.inc("repro_fleet_heartbeats_total")
-                self._merge_metrics(msg)
-            return
-        if msg.kind == "bye":
-            if member is not None and member.state == "draining":
-                member.state = "drained"
-                self._merge_metrics(msg)
-                self._publish_membership()
+                if msg.metrics and obs.metrics_enabled():
+                    obs.registry().merge(
+                        msg.metrics, extra_labels={"worker": str(msg.worker_id)}
+                    )
             return
         if msg.kind == "result":
             self._handle_result(msg, member, now)
-
-    @staticmethod
-    def _merge_metrics(msg: Message) -> None:
-        """Fold a member's metric delta (heartbeat or bye) into the registry."""
-        if msg.metrics and obs.metrics_enabled():
-            obs.registry().merge(msg.metrics, extra_labels={"worker": str(msg.worker_id)})
 
     # -- results: receipts, at-most-once acceptance -----------------------------
     def _handle_result(self, msg: Message, member: WorkerInfo | None, now: float) -> None:
@@ -476,7 +429,7 @@ class FleetController:
             entry is None
             or entry[1] != msg.worker_id
             or member is None
-            or member.state not in ("live", "draining")
+            or member.state != "live"
         )
         if stale:
             # a reassigned/duplicate/evicted-worker result: the job was
@@ -558,11 +511,7 @@ class FleetController:
     # -- liveness and eviction ----------------------------------------------------
     def _check_liveness(self, now: float) -> None:
         for member in list(self.members.values()):
-            if member.state == "draining" and not self.transport.alive(member.worker_id):
-                member.state = "drained"  # died while leaving; it was leaving
-                self._publish_membership()
-                continue
-            if member.state not in ("launching", "live"):
+            if member.state == "evicted":
                 continue
             if not self.transport.alive(member.worker_id):
                 self._evict(member, "crash", now)
@@ -618,53 +567,17 @@ class FleetController:
             pass
         self._publish_membership()
 
-    # -- elasticity and dispatch ---------------------------------------------------
+    # -- membership and dispatch ---------------------------------------------------
     def _live_members(self) -> list[WorkerInfo]:
         return [m for m in self.members.values() if m.state == "live"]
 
     def _present(self) -> int:
         """Members currently filling a target slot (launching or live)."""
-        return sum(1 for m in self.members.values() if m.state in ("launching", "live"))
+        return sum(m.state != "evicted" for m in self.members.values())
 
     def _reconcile(self, now: float) -> None:
         if self._closed or not self._started:
             return
-        backlog = len(self._pending)
-        live = self._live_members()
-        busy = bool(backlog or self._assigned)
-        # scale up: the backlog outgrew the membership
-        if (
-            backlog > self.config.scale_up_backlog * max(len(live), 1)
-            and self.target < self.config.max_workers
-        ):
-            self.target += 1
-            self.scale_ups += 1
-            obs.inc("repro_fleet_scale_events_total", direction="up")
-            self.events.append(FleetEvent("scale_up", -1, f"backlog {backlog}", now))
-        # scale down: sustained idle
-        if busy:
-            self._idle_since = None
-        elif self._idle_since is None:
-            self._idle_since = now
-        elif (
-            now - self._idle_since >= self.config.scale_down_idle_s
-            and self.target > self.config.min_workers
-        ):
-            self.target -= 1
-            self.scale_downs += 1
-            self._idle_since = now  # the next step waits a full idle period again
-            obs.inc("repro_fleet_scale_events_total", direction="down")
-            self.events.append(FleetEvent("scale_down", -1, "idle", now))
-            for member in sorted(live, key=lambda m: len(m.inflight)):
-                if self._present() <= self.target:
-                    break
-                member.state = "draining"
-                try:
-                    self.transport.send_job(member.worker_id, None)
-                except Exception:  # pragma: no cover - carrier already gone
-                    member.state = "drained"
-                self._publish_membership()
-                break
         # relaunch toward target, unless the eviction budget is spent
         while self._present() < self.target and not self._budget_spent():
             self._launch(now)
@@ -766,7 +679,7 @@ class FleetController:
             if self._closed:
                 raise SpecificationError("fleet controller is closed")
             if not self._started:
-                self.start(supervise=False)
+                self.start()
             jobs = make_jobs(trace_context.current_wire() if obs.active_tracer() else None)
             self._pending.extend(jobs)
             self._assign(self.clock())
@@ -945,8 +858,6 @@ class FleetController:
                     "requeues": self.requeues,
                     "receipt_failures": self.receipt_failures,
                     "stale_results": self.stale_results,
-                    "scale_ups": self.scale_ups,
-                    "scale_downs": self.scale_downs,
                     "degraded_chunks": self.degraded_chunks,
                     "jobs_completed": self.jobs_completed,
                 },

@@ -1,13 +1,12 @@
 """The fleet's message plane: registration, heartbeats, jobs, results.
 
-The controller and its workers speak a small, explicit protocol — four
+The controller and its workers speak a small, explicit protocol — three
 message kinds flowing worker → controller (``register``, ``heartbeat``,
-``result``, ``bye``) and one controller → worker payload (a
-:class:`ChunkJob`, or ``None`` as the graceful-stop sentinel).  The
-:class:`Transport` interface carries exactly that protocol and nothing
-else, so the controller never reaches around it: a worker is *only* a
-stream of messages plus a liveness bit.  That is what makes the
-interface socket-ready — a TCP transport for remote hosts implements the
+``result``) and one controller → worker payload (a :class:`ChunkJob`);
+a member stops only by being killed.  The :class:`Transport` interface
+carries exactly that protocol and nothing else, so the controller never
+reaches around it: a worker is *only* a stream of messages plus a
+liveness bit.  That is what makes the interface socket-ready — a TCP transport for remote hosts implements the
 same six methods and the controller is unchanged.  The implementation
 shipped here, :class:`LocalProcessTransport`, runs each worker as a
 local ``multiprocessing`` process (the same "a device is a worker
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: Worker → controller message kinds.
-MESSAGE_KINDS = ("register", "heartbeat", "result", "bye")
+MESSAGE_KINDS = ("register", "heartbeat", "result")
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ class Message:
     job_id: int = -1  # result messages: the ChunkJob.job_id
     payload: bytes = b""  # result messages: the chunk (or a body's ndarray)
     crc: int | None = None  # result messages: worker-side payload CRC
-    #: heartbeat/bye: the member's metric delta; a partition job's
-    #: result: that attempt's snapshot
+    #: heartbeat: the member's metric delta; a partition job's result:
+    #: that attempt's snapshot
     metrics: dict | None = None
     spans: dict | None = None  # result messages: worker tracer snapshot
-    detail: str = ""  # free-form (bye reason, error text)
     #: Result parked in a shared-memory ring slot instead of ``payload``
     #: (``payload`` is then empty; the controller materialises the ref
     #: before its length/CRC/screen checks).
@@ -135,8 +133,7 @@ class Transport(ABC):
     host) and move :class:`Message` / :class:`ChunkJob` values; the
     controller supplies policy (membership, liveness, eviction).  All
     methods must be thread-safe — the controller pumps from whichever
-    thread reaches it first (a waiting caller, the supervision thread or
-    an event loop).
+    thread reaches it first (a waiting caller or an event loop).
     """
 
     @abstractmethod
@@ -144,8 +141,8 @@ class Transport(ABC):
         """Start a new worker; it must send a ``register`` message."""
 
     @abstractmethod
-    def send_job(self, worker_id: int, job: ChunkJob | None) -> None:
-        """Dispatch one job (``None`` = graceful-stop sentinel)."""
+    def send_job(self, worker_id: int, job: ChunkJob) -> None:
+        """Dispatch one job."""
 
     @abstractmethod
     def poll(self, timeout: float) -> list[Message]:
@@ -189,8 +186,8 @@ class LocalProcessTransport(Transport):
         self.spec = spec
         self.mp_context = resolve_start_method(mp_context)
         self._ctx = mp.get_context(self.mp_context)
-        # replacements fork from a pumping thread (the supervision thread
-        # or the daemon's event loop) while other threads run: a member
+        # replacements fork from a pumping thread (a waiting caller or
+        # the daemon's event loop) while other threads run: a member
         # forked mid-import of the kernel would inherit the held module
         # lock and hang on its first job
         import_kernel(spec.stream.algorithm)
@@ -218,7 +215,7 @@ class LocalProcessTransport(Transport):
         self._conns[worker_id] = conn
         self._selector.register(conn, selectors.EVENT_READ)
 
-    def send_job(self, worker_id: int, job: ChunkJob | None) -> None:
+    def send_job(self, worker_id: int, job: ChunkJob) -> None:
         conn = self._conns.get(worker_id)
         if conn is None:
             raise SpecificationError(f"unknown worker {worker_id}")

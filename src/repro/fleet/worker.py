@@ -1,17 +1,18 @@
-"""The fleet worker: register, heartbeat, run jobs until told to stop.
+"""The fleet worker: register, heartbeat, run jobs until killed.
 
 A fleet worker is a *member*: it registers once, heartbeats on the
 controller's interval, and runs :class:`~repro.fleet.transport.ChunkJob`
-items until told to stop, killed, or evicted.  Members run all work
-done in worker processes: every chunk the serve daemon hands out, and
-every partition of a batch job on an ephemeral fleet a
+items until it is evicted or its fleet closes (both kill it), or its
+controller's end of the pipe goes away.  Members run all work done in
+worker processes: every chunk the serve daemon hands out, and every
+partition of a batch job on an ephemeral fleet a
 :class:`~repro.robust.supervisor.PartitionSupervisor` starts
 (:func:`run_job`).  A served chunk's series go to the member's own
 registry, shipped as a delta (snapshot, then clear) with each heartbeat
-and with its ``bye`` — one merge per interval in the parent, not one per
-chunk; a partition attempt's snapshot rides its result.  Either way the
-CRC receipt is taken before any injected corruption, and a range payload
-is parked in the job's shared-memory ring slot when it has one.
+— one merge per interval in the parent, not one per chunk; a partition
+attempt's snapshot rides its result.  Either way the CRC receipt is
+taken before any injected corruption, and a range payload is parked in
+the job's shared-memory ring slot when it has one.
 
 Failure modelling is deliberately honest:
 
@@ -55,8 +56,8 @@ def fleet_worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
     """Worker process entry point (module-level: spawn-picklable).
 
     ``conn`` is this member's end of its duplex pipe: it delivers
-    :class:`ChunkJob` items (``None`` = graceful stop) and carries the
-    member's :class:`Message` stream back.
+    :class:`ChunkJob` items and carries the member's :class:`Message`
+    stream back.
     """
     # a fork inherits the parent's signal dispositions — under the serve
     # daemon that includes an asyncio SIGTERM handler which would swallow
@@ -139,10 +140,7 @@ def _worker_loop(worker_id: int, spec: WorkerSpec, conn, reg) -> None:
             last_heartbeat = now
         if not conn.poll(poll_s):
             continue
-        job: ChunkJob | None = conn.recv()
-        if job is None:
-            conn.send(Message("bye", worker_id, detail="drained", metrics=_delta(reg)))
-            return
+        job: ChunkJob = conn.recv()
         flight.record("job-start", worker=worker_id, job=job.job_id, offset=job.offset)
         # crash faults raise out of here and end the process — the
         # controller must discover a dead carrier, not read an excuse.

@@ -344,8 +344,6 @@ class PartitionSupervisor:
             self.stream,
             FleetConfig(
                 workers=n,
-                min_workers=n,
-                max_workers=n,
                 # a member heartbeats only to beat a deadline
                 heartbeat_interval=min(1.0, timeout / 4) if cfg.timeout else math.inf,
                 heartbeat_timeout=timeout,
@@ -361,7 +359,7 @@ class PartitionSupervisor:
         try:
             # every member up before any job goes out: each partition
             # starts on a worker of its own, as on a device of its own
-            fleet.start(supervise=False)
+            fleet.start()
             while not fleet.exhausted() and sum(
                 m.state == "live" for m in fleet.members.values()
             ) < n:

@@ -57,7 +57,10 @@ daemon memory and never slows other clients, whose pipelines run
 independently.  All of it runs on the event loop, which
 also reads member results as they land
 (:meth:`~repro.serve.engine.ServeEngine.acollect`): a chunk crosses no
-executor or supervision thread on its way out.  A chunk that still
+other thread on its way out.  A response yields the loop once every
+``queue_depth`` pieces written, so a stream whose pieces never wait
+(tiny frames cut from chunks already accepted, into a socket with room)
+cannot hold the loop from its neighbours.  A chunk that still
 fails after the head went out (fleet exhausted, no degradation) cancels
 the rest and closes the connection: the client sees a truncated body,
 never a second status line.
@@ -73,9 +76,11 @@ is closed at once.
 **Metrics.**  The fixed-label series a request updates (``requests_total``
 for status 200, ``bytes_total``, ``leases_total`` and each endpoint's
 ``request_seconds``) are bound once, so a request does not look them up
-in the registry.  The lease and stream gauges are not kept per request:
-they are computed when ``/metrics`` is rendered, and once more when the
-daemon stops.
+in the registry.  ``request_seconds`` is labelled by route: any path
+that is not one of the five routes is ``endpoint="other"``, so unknown
+paths cannot grow the series.  The lease and stream gauges are not kept
+per request: they are computed when ``/metrics`` is rendered, and once
+more when the daemon stops.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, flip ``/healthz`` to 503,
 close keep-alive connections idle between requests (a connection whose
@@ -118,6 +123,9 @@ logger = logging.getLogger(__name__)
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
 _SERVER_NAME = "repro-serve"
+
+#: The routed paths: the ``endpoint`` label values besides ``"other"``.
+_ROUTES = frozenset({"/v1/bytes", "/v1/stream", "/healthz", "/metrics", "/v1/status"})
 
 _STATUS_TEXT = {
     200: "OK",
@@ -449,7 +457,7 @@ class ServeDaemon:
     # -- routing -----------------------------------------------------------------
     async def _dispatch(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
         t0 = time.perf_counter()
-        endpoint = request.path
+        endpoint = request.path if request.path in _ROUTES else "other"
         try:
             ctx_in = TraceContext.from_headers(request.headers)
             if obs.active_tracer() is None:
@@ -697,7 +705,7 @@ class ServeDaemon:
         are cancelled and ``False`` tells the caller to close the
         connection, which the client sees as a truncated body.
         """
-        sent = 0  # body bytes handed to the socket
+        sent = pieces = 0  # body bytes and pieces handed to the socket
         high_water = writer.transport.get_write_buffer_limits()[1]
         async with contextlib.aclosing(chunks):
             try:
@@ -709,6 +717,11 @@ class ServeDaemon:
                     await writer.drain()
                     self._bytes_served += len(data)
                     self._bytes_total.inc(len(data))
+                    pieces += 1
+                    if pieces % self.config.queue_depth == 0:
+                        # drain() returns at once below the high-water
+                        # mark: let the neighbours have a turn
+                        await asyncio.sleep(0)
             except (ConnectionResetError, BrokenPipeError):
                 raise
             except Exception as exc:

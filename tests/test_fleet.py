@@ -3,6 +3,7 @@ lease reassignment and at-most-once acceptance — all driven through a fake
 transport and a fake clock, so every race is a deterministic sequence of
 messages and deadline checks rather than a sleep."""
 
+import threading
 from collections import defaultdict, deque
 from dataclasses import replace
 
@@ -81,12 +82,9 @@ def stream_bytes(offset: int, n: int) -> bytes:
 def make_fleet(**overrides):
     defaults = dict(
         workers=2,
-        min_workers=1,
-        max_workers=4,
         heartbeat_interval=1.0,
         heartbeat_timeout=5.0,
         chunk_bytes=256,
-        scale_down_idle_s=30.0,
     )
     defaults.update(overrides)
     clock = FakeClock()
@@ -94,7 +92,7 @@ def make_fleet(**overrides):
     ctrl = FleetController(
         STREAM, FleetConfig(**defaults), transport=transport, clock=clock
     )
-    ctrl.start(supervise=False)
+    ctrl.start()
     return ctrl, transport, clock
 
 
@@ -116,17 +114,12 @@ class TestConfigValidation:
         "kw",
         [
             dict(workers=0),
-            dict(min_workers=0),
-            dict(min_workers=5, max_workers=4),
-            dict(workers=9, max_workers=8),
             dict(heartbeat_interval=0.0),
             dict(heartbeat_timeout=0.5, heartbeat_interval=1.0),
             dict(chunk_bytes=0),
             dict(max_inflight_per_worker=0),
             dict(max_strikes=0),
             dict(max_evictions=-1),
-            dict(scale_up_backlog=0),
-            dict(scale_down_idle_s=0.0),
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -154,13 +147,22 @@ class TestConfigValidation:
 
 class TestMembership:
     def test_start_launches_target(self):
-        ctrl, transport, clock = make_fleet(workers=3, max_workers=4)
+        ctrl, transport, clock = make_fleet(workers=3)
         assert transport.launched == [0, 1, 2]
         assert all(m.state == "launching" for m in ctrl.members.values())
         register_all(ctrl, transport, clock)
         assert all(m.state == "live" for m in ctrl.members.values())
         ctrl.close()
         assert transport.closed
+
+    def test_start_starts_no_thread(self):
+        """The fleet is pumped by whoever waits: starting it launches
+        members and nothing else."""
+        before = set(threading.enumerate())
+        ctrl, transport, clock = make_fleet()
+        assert transport.launched == [0, 1]
+        assert set(threading.enumerate()) == before
+        ctrl.close()
 
     def test_unknown_worker_messages_ignored(self):
         ctrl, transport, clock = make_fleet()
@@ -214,7 +216,7 @@ class TestLivenessDeadlines:
     def test_partition_dispatch_restarts_deadline(self):
         """A member computes silently: a partition sent to an idle member
         gets the full timeout from its dispatch; a served chunk does not."""
-        ctrl, transport, clock = make_fleet(workers=2, min_workers=2, max_workers=2)
+        ctrl, transport, clock = make_fleet(workers=2)
         register_all(ctrl, transport, clock)
         clock.advance(4.0)
         ctrl.submit([ChunkJob(0, 0, 256, partition=0)])
@@ -432,34 +434,20 @@ class TestReceiptsAndScreening:
 
 
 class TestElasticity:
-    def test_scale_up_on_backlog(self):
-        ctrl, transport, clock = make_fleet(workers=2, max_workers=4, scale_up_backlog=2)
+    def test_backlog_never_grows_the_membership(self):
+        """The fleet has a fixed size: 64 queued chunks wait for the two
+        members (cap 2 in flight each), they do not add a third."""
+        ctrl, transport, clock = make_fleet(workers=2)
         register_all(ctrl, transport, clock)
-        # 2 live x inflight cap 2 = 4 dispatched; the rest is backlog
-        ctrl.submit_range(0, 256 * 16)
-        ctrl.reconcile(clock.now)
-        assert ctrl.target == 3
-        assert len(transport.launched) == 3
-        assert ctrl.scale_ups == 1
-        ctrl.close()
-
-    def test_scale_down_after_sustained_idle(self):
-        ctrl, transport, clock = make_fleet(workers=2, scale_down_idle_s=10.0)
-        register_all(ctrl, transport, clock)
-        for _ in range(12):
+        ctrl.submit_range(0, 256 * 64)
+        for _ in range(5):
             clock.advance(1.0)
-            for wid, m in ctrl.members.items():
-                if m.state in ("live", "draining"):
-                    ctrl.handle_message(Message("heartbeat", wid), clock.now)
-            ctrl.check_liveness(clock.now)
-            ctrl.reconcile(clock.now)
-        assert ctrl.target == 1
-        assert ctrl.scale_downs == 1
-        draining = [m for m in ctrl.members.values() if m.state == "draining"]
-        assert len(draining) == 1
-        assert transport.sent[draining[0].worker_id][-1] is None  # stop sentinel
-        ctrl.handle_message(Message("bye", draining[0].worker_id), clock.now)
-        assert draining[0].state == "drained"
+            for wid in transport.launched:
+                ctrl.handle_message(Message("heartbeat", wid), clock.now)
+            ctrl.pump()
+        assert len(transport.launched) == 2
+        assert ctrl.target == 2
+        assert ctrl.status()["pending_jobs"] == 64 - 2 * 2
         ctrl.close()
 
     def test_replacement_launch_after_eviction(self):
@@ -474,7 +462,7 @@ class TestElasticity:
         ctrl.close()
 
     def test_eviction_budget_stops_relaunch(self):
-        ctrl, transport, clock = make_fleet(workers=2, min_workers=1, max_evictions=1)
+        ctrl, transport, clock = make_fleet(workers=2, max_evictions=1)
         register_all(ctrl, transport, clock)
         clock.advance(6.0)  # both silent: 2 evictions > budget of 1
         ctrl.check_liveness(clock.now)

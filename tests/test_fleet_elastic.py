@@ -29,11 +29,9 @@ def reference(n: int, offset: int = 0) -> bytes:
 def make_config(**overrides) -> FleetConfig:
     defaults = dict(
         workers=2,
-        max_workers=4,
         heartbeat_interval=0.2,
         heartbeat_timeout=4.0,
         chunk_bytes=4096,
-        scale_up_backlog=100,  # keep membership stable unless a test wants growth
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -108,9 +106,7 @@ class TestOneChannelPerMember:
         only that member's pipe: every replacement registers and
         heartbeats, nobody is evicted for silence, and the fleet then
         serves bit-identical bytes."""
-        config = make_config(
-            heartbeat_interval=0.01, heartbeat_timeout=1.0, max_workers=2, max_evictions=100
-        )
+        config = make_config(heartbeat_interval=0.01, heartbeat_timeout=1.0, max_evictions=100)
 
         def states(ctrl) -> dict[int, str]:
             return {w["worker_id"]: w["state"] for w in ctrl.status()["workers"]}
@@ -119,7 +115,7 @@ class TestOneChannelPerMember:
             deadline = time.monotonic() + 20.0
             while not predicate():
                 assert time.monotonic() < deadline, f"{what} within 20 s"
-                time.sleep(0.01)
+                ctrl.pump(0.01)  # nothing else pumps: the waiter does
 
         with FleetController(STREAM, config) as ctrl:
             for _ in range(30):
@@ -170,7 +166,7 @@ class TestOneChannelPerMember:
             StreamConfig.make_rng = lambda self: built.append(MOD in sys.modules) or make_rng(self)
             ctrl = FleetController(StreamConfig("trivium", 3, 64), FleetConfig(workers=1))
             assert MOD in sys.modules and not built
-            ctrl.start(supervise=False)
+            ctrl.start()
             data = ctrl.read_range(0, 4096, timeout=60)
             ctrl.close()
             assert len(data) == 4096 and not built

@@ -155,6 +155,44 @@ def test_serve_daemon_series():
     assert {s for s in series(reg) if s[0].startswith("repro_serve_")} == SERVE_DAEMON
 
 
+def test_unknown_paths_share_one_request_seconds_series():
+    """``request_seconds`` is labelled by route: 50 unknown paths add one
+    ``endpoint="other"`` series, not 50."""
+    daemon = ServeDaemon(
+        ServeEngine(StreamConfig(algorithm="trivium", seed=7, lanes=256), workers=0),
+        DaemonConfig(port=0, chunk_bytes=2048),
+    )
+    with obs.scoped() as reg:
+        thread = threading.Thread(target=lambda: asyncio.run(daemon.run()), daemon=True)
+        thread.start()
+        try:
+            assert daemon.started.wait(30), "daemon failed to start"
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.bound_port, timeout=30)
+
+            def status(path: str) -> int:
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                resp.read()
+                return resp.status
+
+            for path in ("/v1/bytes?n=16", "/v1/status", "/healthz", "/metrics"):
+                assert status(path) == 200, path
+            for k in range(50):
+                assert status(f"/no/such/path/{k}") == 404
+            conn.close()
+        finally:
+            daemon.shutdown_threadsafe()
+            thread.join(20)
+        assert not thread.is_alive(), "daemon failed to drain"
+    endpoints = {
+        entry["labels"]["endpoint"]
+        for entry in reg.snapshot()["metrics"]
+        if entry["name"] == "repro_serve_request_seconds"
+    }
+    assert endpoints == {"/v1/bytes", "/v1/status", "/healthz", "/metrics", "other"}
+    assert len(endpoints) <= 6
+
+
 FLEET = {
     ("repro_fleet_bytes_total", ()),
     ("repro_fleet_chunk_seconds", ()),

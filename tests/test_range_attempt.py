@@ -81,11 +81,9 @@ class TestSingleTouchReceipt:
 def fleet_config(**overrides) -> FleetConfig:
     defaults = dict(
         workers=2,
-        max_workers=4,
         heartbeat_interval=0.2,
         heartbeat_timeout=4.0,
         chunk_bytes=4096,
-        scale_up_backlog=100,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

@@ -20,7 +20,8 @@ starting a member round trip of its own.  These tests pin:
   neighbour whose small lease falls in the bulk lease's last chunk;
 * a ``/v1/stream`` frame wider than the window is generated while the
   one before it is written, and an unread open-ended stream of 1-byte
-  frames holds at most ``queue_depth`` leases.
+  frames holds at most ``queue_depth`` leases and writes at most
+  ``queue_depth`` frames between two turns of the loop.
 """
 
 from __future__ import annotations
@@ -318,3 +319,33 @@ def test_open_ended_stream_of_tiny_frames_holds_at_most_queue_depth_leases():
             # the stream's pieces, plus the neighbour's lease while it ran
             assert max(held) <= daemon.config.queue_depth + 1, max(held)
         assert _wait_for(lambda: daemon.status()["leases"]["active"] == 0)
+
+
+def test_a_stream_of_tiny_frames_yields_the_loop_every_queue_depth_frames():
+    # frames cut from an accepted chunk into a socket with room never
+    # wait: without a yield the stream writes a whole 64 KiB chunk of
+    # 1-byte frames before any neighbour runs
+    with grid_daemon(chunk_bytes=65536, queue_depth=4) as (daemon, base):
+        loop, done = daemon._loop, threading.Event()
+        served: list[int] = []  # bytes served, one sample per loop turn
+
+        def probe() -> None:
+            served.append(daemon._bytes_served)
+            if not done.is_set():
+                loop.call_soon(probe)
+
+        loop.call_soon_threadsafe(probe)
+        with socket.create_connection(("127.0.0.1", daemon.bound_port), timeout=30) as sock:
+            sock.sendall(b"GET /v1/stream?chunk=1 HTTP/1.1\r\nHost: x\r\n\r\n")
+            # the stream is never read: wait until the socket stalls it
+            stalled, deadline = -1, time.monotonic() + 30
+            while time.monotonic() < deadline:
+                time.sleep(0.5)
+                if daemon._bytes_served == stalled:
+                    break
+                stalled = daemon._bytes_served
+            done.set()
+            assert stalled > 4 * daemon.config.queue_depth, stalled
+            turns = list(zip(served, served[1:]))
+            frames = max(later - earlier for earlier, later in turns)
+            assert frames <= daemon.config.queue_depth, frames

@@ -1,13 +1,13 @@
 """Event-loop delivery: the daemon moves every served chunk on its loop.
 
-The daemon starts its engine with its running loop, so the fleet runs
-unsupervised: a reader on the transport's descriptor pumps member
+The daemon starts its engine with its running loop, and the loop is
+what pumps the fleet: a reader on the transport's descriptor pumps member
 results in as they land, and a timer at the supervision period keeps
 liveness, relaunch and degrade running while the daemon is idle.  These
 tests pin that down end to end on an in-process daemon with one member:
 
 * serving requests starts no thread in this process beyond the loop's
-  own — no ``fleet-supervisor`` thread, no ``run_in_executor`` pool;
+  own — no fleet thread, no ``run_in_executor`` pool;
 * a member SIGKILLed while no request is in flight is evicted and
   relaunched by the loop within ``heartbeat_timeout``, and the next
   request is bit-identical to the offline replay;
@@ -121,7 +121,7 @@ def test_idle_member_sigkill_is_evicted_and_relaunched_by_the_loop():
         def workers() -> dict[int, dict]:
             return {w["worker_id"]: w for w in daemon.engine.status()["fleet"]["workers"]}
 
-        # no request is in flight and no supervision thread exists: only
+        # no request is in flight and the fleet has no thread: only
         # the loop's reader and tick can notice the death
         os.kill(proc.pid, signal.SIGKILL)
         assert _wait_for(
