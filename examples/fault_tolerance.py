@@ -6,7 +6,8 @@ device, a hung device, and a corrupted transfer — and shows the
 supervisor recover every one with byte-identical output, because each
 partition is a pure function of ``(seed, start_block, n_blocks)``.
 Then wedges a generator at a constant byte and shows the SP 800-90B
-Repetition Count Test catch it within a handful of samples.
+Repetition Count Test catch it within a handful of samples, and the
+health latch refuse every later draw until it is reset.
 
 Run:  python examples/fault_tolerance.py
 """
@@ -67,16 +68,15 @@ def main() -> None:
     except HealthTestError as exc:
         print(f"repetition count test tripped: {exc}  [OK]")
 
-    # degrade mode: reseed the bank instead of failing the caller
-    stuck = StuckBSRNG("xorwow", seed=7, lanes=256, stuck_byte=0xAA, stuck_after=100)
-    monitor = HealthMonitoredBSRNG(stuck, startup_test=False, on_failure="degrade")
-    data = monitor.random_bytes(4096)
-    assert len(data) == 4096
-    print(
-        f"degrade mode: {monitor.log.reseeds} reseed recovered the bank, "
-        f"{len(data):,} healthy bytes emitted  [OK]"
-    )
-
+    # the error state is sticky: no further output until an operator resets
+    try:
+        monitor.random_bytes(16)
+        raise AssertionError("the monitor emitted after a health-test failure")
+    except HealthTestError as exc:
+        print(f"next draw refused: {exc}  [OK]")
+    monitor.health.reset()
+    assert monitor.health.healthy
+    print(f"health.reset() cleared the latch ({len(monitor.health.events)} event kept)  [OK]")
 
 if __name__ == "__main__":
     main()

@@ -641,9 +641,10 @@ def _cmd_selftest(args) -> int:
             return 1
         print("startup self-test (FIPS 140-2, 20,000 bits): pass")
         print(f"  {mon.startup_report.to_table()}".replace("\n", "\n  "))
+        screener = mon.health.screener
         print(
-            f"continuous tests: RCT cutoff {mon.screen.rct.cutoff}, "
-            f"APT cutoff {mon.screen.apt.cutoff}/{mon.screen.apt.window}"
+            f"continuous tests: RCT cutoff {screener.rct.cutoff}, "
+            f"APT cutoff {screener.apt.cutoff}/{screener.apt.window}"
         )
         chunk = 1 << 16
         remaining = args.n_bytes
@@ -656,7 +657,7 @@ def _cmd_selftest(args) -> int:
             return 1
         finally:
             mon.inner.publish_metrics()
-        print(f"continuous health tests over {mon.log.bytes_screened:,} bytes: pass")
+        print(f"continuous health tests over {mon.health.bytes_screened:,} bytes: pass")
     return 0
 
 

@@ -394,8 +394,7 @@ class BSRNG:
         With ``seed=None`` a new seed is derived from the current one via
         SplitMix64 stream separation (distinct from :meth:`spawn`
         children), so repeated reseeds walk a deterministic, non-repeating
-        seed sequence — the recovery action health monitoring takes when a
-        bank goes bad.  Buffered output from the old state is discarded.
+        seed sequence.  Buffered output from the old state is discarded.
         """
         from repro.core.seeding import expand_seed_words
 
@@ -425,8 +424,7 @@ class BSRNG:
         detached before its result is inspected, so a transient worker
         error can never wedge the generator — previously a raising
         future stayed parked in ``_pending`` and every later draw,
-        seek *and reseed* (the designated recovery action) re-raised
-        the same stale exception forever.
+        seek *and reseed* re-raised the same stale exception forever.
         """
         pending, self._pending = self._pending, None
         if pending is None:
@@ -589,12 +587,16 @@ class BSRNG:
 
     def random_bits(self, n: int) -> np.ndarray:
         """*n* bits as a uint8 0/1 array (little bit order of the stream)."""
+        if n < 0:
+            raise SpecificationError("n must be non-negative")
         raw = self._take_bytes(-(-n // 8))
         return np.unpackbits(raw, bitorder="little")[:n]
 
     def random(self, size: int | tuple = 1) -> np.ndarray:
         """Uniform float64 in [0, 1) with full 53-bit mantissas."""
         shape = (size,) if isinstance(size, int) else tuple(size)
+        if any(d < 0 for d in shape):
+            raise SpecificationError("size must be non-negative")
         n = int(np.prod(shape)) if shape else 1
         words = self._take_words(n)
         return ((words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(shape)
@@ -602,6 +604,8 @@ class BSRNG:
     def integers(self, low: int, high: int, size: int = 1) -> np.ndarray:
         """Uniform integers in ``[low, high)`` (Lemire-style rejection-free
         scaling is not used; modulo bias is below 2^-32 for ranges < 2^32)."""
+        if size < 0:
+            raise SpecificationError("size must be non-negative")
         if high <= low:
             raise SpecificationError("need high > low")
         span = high - low
@@ -612,6 +616,8 @@ class BSRNG:
 
     def normal(self, size: int = 1) -> np.ndarray:
         """Standard normal deviates via Box–Muller."""
+        if size < 0:
+            raise SpecificationError("size must be non-negative")
         n = -(-size // 2) * 2
         u = self.random(n).reshape(2, -1)
         u1 = np.clip(u[0], np.finfo(np.float64).tiny, None)

@@ -23,7 +23,8 @@ full of anonymous workers into *supervised membership*:
   pickled.
   It does not screen: a verified chunk is a pure function of its offset,
   so every peer would return the same bytes.  The one RCT/APT screen on
-  a served byte is the service latch (:class:`~repro.serve.engine.HealthState`).
+  a served byte is the serve engine's health latch
+  (:class:`~repro.robust.health.HealthState`).
 * **Reassignment** keeps the merged stream bit-identical to a
   single-device run.  Job ids come from a counter, never reissued, and
   a result is accepted *at most once* per id: only the member a job is
@@ -31,11 +32,13 @@ full of anonymous workers into *supervised membership*:
   takeover all end that assignment, so late or duplicate results (an
   evicted-but-alive worker finishing its job) are counted as stale and
   dropped.  No per-job state outlives a job: bookkeeping is bounded by
-  the jobs in flight, and :attr:`FleetController.events` keeps the last
-  :data:`EVENTS_KEPT`.  A job is a pure function of its offset (or a body's
-  arguments), so a reassigned job regenerates bit-identically on any
-  healthy peer.  Every requeue bumps the job's ``attempt``, and
-  ``on_requeue`` (a supervisor's attempt budget) may drop it instead.
+  the jobs in flight, :attr:`FleetController.events` keeps the last
+  :data:`EVENTS_KEPT` and :attr:`FleetController.members` the present
+  members plus the last :data:`EVENTS_KEPT` evicted.  A job is a pure
+  function of its offset (or a body's arguments), so a reassigned job
+  regenerates bit-identically on any healthy peer.  Every requeue bumps
+  the job's ``attempt``, and ``on_requeue`` (a supervisor's attempt
+  budget) may drop it instead.
 * **Pipelining**: :meth:`FleetController.submit_range` dispatches
   without waiting, :meth:`FleetController.collect` waits for (and
   degrades) a submitted range, and :meth:`FleetController.cancel`
@@ -109,7 +112,8 @@ __all__ = [
 #: Membership states a worker moves through (forward-only).
 WORKER_STATES = ("launching", "live", "evicted")
 
-#: How many membership events :attr:`FleetController.events` keeps.
+#: How many membership events :attr:`FleetController.events` keeps, and
+#: how many evicted members :attr:`FleetController.members` keeps.
 EVENTS_KEPT = 50
 
 #: Why workers get evicted (the ``reason`` label on the eviction counter)
@@ -271,7 +275,8 @@ class FleetController:
         self._cond = threading.Condition(self._lock)
         self._pump_gate = threading.Lock()  # one pumper at a time
 
-        self.members: dict[int, WorkerInfo] = {}
+        self.members: dict[int, WorkerInfo] = {}  # present + recently evicted
+        self._evicted: deque[int] = deque()  # evicted member ids, oldest first
         self.target = self.config.workers
         self._job_ids = itertools.count()  # never reissued
         self._pending: deque[ChunkJob] = deque()
@@ -521,15 +526,24 @@ class FleetController:
             if now - member.last_heartbeat > self.config.heartbeat_timeout:
                 self._evict(member, "heartbeat", now)
 
-    def _evict(self, member: WorkerInfo, reason: str, now: float) -> None:
-        if member.state == "evicted":
-            return
+    def _mark_evicted(self, member: WorkerInfo, reason: str, now: float, detail: str) -> None:
+        """Count one eviction; forget the oldest evicted member beyond
+        the :data:`EVENTS_KEPT` most recent (:attr:`evictions` keeps the
+        total)."""
         member.state = "evicted"
         member.evicted_reason = reason
         self.evictions += 1
         self.evictions_by_reason[reason] += 1
         obs.inc("repro_fleet_evictions_total", reason=reason)
-        self.events.append(FleetEvent("evict", member.worker_id, reason, now))
+        self.events.append(FleetEvent("evict", member.worker_id, detail, now))
+        self._evicted.append(member.worker_id)
+        if len(self._evicted) > EVENTS_KEPT:
+            del self.members[self._evicted.popleft()]
+
+    def _evict(self, member: WorkerInfo, reason: str, now: float) -> None:
+        if member.state == "evicted":
+            return
+        self._mark_evicted(member, reason, now, reason)
         flight.record(
             "eviction",
             worker=member.worker_id,
@@ -591,12 +605,7 @@ class FleetController:
         try:
             self.transport.launch(worker_id)
         except Exception as exc:
-            info.state = "evicted"
-            info.evicted_reason = "crash"
-            self.evictions += 1
-            self.evictions_by_reason["crash"] += 1
-            obs.inc("repro_fleet_evictions_total", reason="crash")
-            self.events.append(FleetEvent("evict", worker_id, f"launch failed: {exc}", now))
+            self._mark_evicted(info, "crash", now, f"launch failed: {exc}")
         self._publish_membership()
 
     def _lease_slot(self, job: ChunkJob) -> ChunkJob:
@@ -836,6 +845,7 @@ class FleetController:
         counts = {state: 0 for state in WORKER_STATES}
         for member in self.members.values():
             counts[member.state] += 1
+        counts["evicted"] = self.evictions  # forgotten members included
         for state, count in counts.items():
             obs.set_gauge("repro_fleet_workers", count, state=state)
         obs.set_gauge("repro_fleet_target_workers", self.target)

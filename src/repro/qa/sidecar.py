@@ -10,9 +10,10 @@ clients), with the loss counted in ``repro_qa_dropped_chunks_total`` —
 sampled QA that says so beats complete QA that throttles serving.
 
 Verdicts propagate through :meth:`bind`: a plugin latch calls
-``HealthState.latch("qa:<plugin>", ...)``, so ``/healthz`` flips 503
+``latch("qa:<plugin>", ...)`` on the engine's health latch
+(:class:`~repro.robust.health.HealthState`), so ``/healthz`` flips 503
 with the plugin name and triggering window in its event list — the
-same operator contract as the SP 800-90B screen, one layer up.
+same sticky error state as an SP 800-90B screen failure, one layer up.
 
 A plugin that *raises* on the sidecar thread (a real bug — skips are
 first-class results, not exceptions) must not take serving down: the
@@ -88,7 +89,8 @@ class QASidecar:
 
     # -- verdict wiring ----------------------------------------------------------
     def bind(self, health) -> None:
-        """Latch *health* (a ``HealthState``) when any plugin latches."""
+        """Latch *health* (a :class:`~repro.robust.health.HealthState`)
+        when any plugin latches."""
 
         def _latch(plugin: str, info: dict) -> None:
             health.latch(f"qa:{plugin}", info)

@@ -5,7 +5,8 @@ tests (SP 800-90B, FIPS 140-2) and survive device failure.  This package
 adds both layers to the reproduction:
 
 * :mod:`repro.robust.health` — streaming Repetition Count / Adaptive
-  Proportion tests and the :class:`HealthMonitoredBSRNG` wrapper;
+  Proportion tests, the one health latch (:class:`HealthState`) and
+  the :class:`HealthMonitoredBSRNG` wrapper;
 * :mod:`repro.robust.supervisor` — attempt-budget/timeout/CRC/degrade
   supervision of partition fan-outs over an ephemeral worker fleet;
 * :mod:`repro.robust.faults` — a deterministic fault-injection harness
@@ -16,9 +17,9 @@ from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan, InjectedCrash,
 from repro.robust.health import (
     AdaptiveProportionTest,
     HealthEvent,
-    HealthLog,
     HealthMonitoredBSRNG,
     HealthScreen,
+    HealthState,
     RepetitionCountTest,
     apt_cutoff,
     rct_cutoff,
@@ -41,9 +42,9 @@ __all__ = [
     "AdaptiveProportionTest",
     "RepetitionCountTest",
     "HealthEvent",
-    "HealthLog",
     "HealthMonitoredBSRNG",
     "HealthScreen",
+    "HealthState",
     "rct_cutoff",
     "apt_cutoff",
     "startup_self_test",

@@ -233,9 +233,7 @@ class StuckBSRNG(BSRNG):
     hardware failure the Repetition Count Test exists to catch.
 
     Emits ``stuck_after`` honest bytes, then the constant ``stuck_byte``
-    forever.  ``reseed`` clears the wedge when ``recover_on_reseed`` is
-    set, which lets tests exercise the health monitor's degrade path end
-    to end.
+    forever.
     """
 
     def __init__(
@@ -245,27 +243,17 @@ class StuckBSRNG(BSRNG):
         lanes: int = 256,
         stuck_byte: int = 0,
         stuck_after: int = 0,
-        recover_on_reseed: bool = True,
     ) -> None:
         super().__init__(algorithm, seed=seed, lanes=lanes)
         self.stuck_byte = stuck_byte
         self.stuck_after = stuck_after
-        self.recover_on_reseed = recover_on_reseed
         self._emitted = 0
-        self._wedged = True
 
     def _take_bytes(self, n: int) -> np.ndarray:
         honest = super()._take_bytes(n)
-        if not self._wedged:
-            return honest
         start = self._emitted
         self._emitted += n
         out = np.full(n, self.stuck_byte, dtype=np.uint8)
         good = max(0, min(n, self.stuck_after - start))
         out[:good] = honest[:good]
         return out
-
-    def reseed(self, seed: int | None = None) -> None:
-        super().reseed(seed)
-        if self.recover_on_reseed:
-            self._wedged = False

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import threading
+import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,8 +56,8 @@ __all__ = [
     "RepetitionCountTest",
     "AdaptiveProportionTest",
     "HealthEvent",
-    "HealthLog",
     "HealthScreen",
+    "HealthState",
     "startup_self_test",
     "HealthMonitoredBSRNG",
     "APT_WINDOW",
@@ -123,25 +125,11 @@ def apt_cutoff(
 
 @dataclass
 class HealthEvent:
-    """One health-test failure (or recovery action)."""
+    """One continuous-test failure."""
 
-    test: str  # "rct" | "apt" | "startup"
+    test: str  # "rct" | "apt"
     position: int  # byte offset into the screened stream
     detail: str
-    action: str = "raise"  # "raise" | "reseed"
-
-
-@dataclass
-class HealthLog:
-    """Accumulated health events plus total screened volume."""
-
-    events: list[HealthEvent] = field(default_factory=list)
-    bytes_screened: int = 0
-    reseeds: int = 0
-
-    def record(self, event: HealthEvent) -> None:
-        """Append one event."""
-        self.events.append(event)
 
 
 class RepetitionCountTest:
@@ -152,7 +140,7 @@ class RepetitionCountTest:
         self.reset()
 
     def reset(self) -> None:
-        """Forget the carried run (after a reseed)."""
+        """Forget the carried run (after a failure)."""
         self._last: int | None = None
         self._run = 0
 
@@ -208,7 +196,7 @@ class AdaptiveProportionTest:
         self.reset()
 
     def reset(self) -> None:
-        """Forget the open window (after a reseed)."""
+        """Forget the open window (after a failure)."""
         self._ref: int | None = None
         self._seen = 0  # samples consumed of the current window
         self._count = 0  # matches of the reference so far (incl. itself)
@@ -260,11 +248,10 @@ class AdaptiveProportionTest:
 class HealthScreen:
     """The one continuous-test screen: an RCT/APT pair over one stream.
 
-    Held by the service latch (:class:`repro.serve.engine.HealthState`)
-    and :class:`HealthMonitoredBSRNG`, which differ only in policy.  It owns the pair, the stream position (bytes
-    screened clean) and reset-on-failure: a failing buffer is not
-    counted, clears both tests and returns a positioned
-    :class:`HealthEvent`.
+    Held by the one latch, :class:`HealthState`.  It owns the pair, the
+    stream position (bytes screened clean) and reset-on-failure: a
+    failing buffer is not counted, clears both tests and returns a
+    positioned :class:`HealthEvent`.
     """
 
     def __init__(self, alpha: float = DEFAULT_ALPHA, entropy_per_sample: float = 8.0) -> None:
@@ -302,6 +289,105 @@ class HealthScreen:
         self.apt.reset()
 
 
+class HealthState:
+    """The one health latch: a :class:`HealthScreen` and a sticky verdict.
+
+    Every holder screens what it emits through one of these: the serve
+    engine the concatenation of accepted chunks (order of interleaved
+    clients is irrelevant to the tests' guarantees — they hunt stuck-at
+    and biased output, properties of the generator, not of any one
+    lease), :class:`HealthMonitoredBSRNG` its draws.  The verdict is the
+    SP 800-90B error state: one screen failure, or an external monitor's
+    :meth:`latch`, flips :attr:`healthy` until :meth:`reset`, and each
+    latch is written to the flight recorder, which dumps.
+
+    :attr:`events` keeps the first latch and the most recent ones, at
+    most :attr:`EVENTS_KEPT` in all: a correct stream trips the serve
+    screen about once per 16 MiB, so a long-running daemon would
+    otherwise grow its ``/healthz`` body without limit.  :meth:`_publish`
+    exports each verdict change, by default as the service's series:
+    ``repro_serve_health_failures_total{test}`` (the full count) and
+    ``repro_serve_healthy``.
+    """
+
+    EVENTS_KEPT = 50
+
+    def __init__(self, alpha: float = 2.0**-20, entropy_per_sample: float = 8.0) -> None:
+        self._lock = threading.Lock()
+        self.screener = HealthScreen(alpha, entropy_per_sample)
+        self.healthy = True
+        self.events: list[dict] = []
+
+    @property
+    def bytes_screened(self) -> int:
+        """Bytes screened so far, failing buffers included."""
+        return self.screener.position
+
+    def screen(self, data) -> HealthEvent | None:
+        """Screen one buffer; returns its failure or ``None``.
+
+        A failing buffer still counts as screened (the service serves
+        it, the monitor withholds it) and latches the verdict unhealthy;
+        the screen has reset its tests, so the next buffer starts clean.
+        """
+        with self._lock:
+            event = self.screener.update(data)
+            if event is None:
+                return None
+            self.screener.position += len(data)
+            self._latch(
+                {"test": event.test, "position": event.position, "time": time.time()},
+                position=event.position,
+                detail=event.detail,
+            )
+            return event
+
+    def latch(self, test: str, detail: dict | None = None) -> None:
+        """Latch unhealthy on an external monitor's verdict.
+
+        The continuous-QA sidecar calls this with ``test="qa:<plugin>"``
+        and the triggering window's particulars — same sticky operator
+        contract as an RCT/APT screen failure, one layer up.
+        """
+        event: dict = {"test": test, "time": time.time()}
+        if detail:
+            event["detail"] = detail
+        with self._lock:
+            self._latch(event)
+
+    def _latch(self, event: dict, **flight_args) -> None:
+        """Record *event* and flip the verdict (the caller holds the lock)."""
+        self.healthy = False
+        self.events.append(event)
+        if len(self.events) > self.EVENTS_KEPT:
+            del self.events[1]  # the first latch stays
+        self._publish(event)
+        flight.record("health-failure", test=event["test"], **flight_args)
+        flight.dump("health")
+
+    def _publish(self, event: dict | None) -> None:
+        """Export one verdict change: *event* latched, ``None`` reset."""
+        if event is not None:
+            obs.inc("repro_serve_health_failures_total", 1, test=event["test"])
+        obs.set_gauge("repro_serve_healthy", int(event is None))
+
+    def reset(self) -> None:
+        """Operator action: clear the latch (events are kept)."""
+        with self._lock:
+            self.healthy = True
+            self.screener.reset()
+            self._publish(None)
+
+    def to_dict(self) -> dict:
+        """JSON form for ``/healthz`` and ``/v1/status``."""
+        with self._lock:
+            return {
+                "healthy": self.healthy,
+                "bytes_screened": self.bytes_screened,
+                "events": list(self.events),
+            }
+
+
 def startup_self_test(rng: BSRNG) -> Fips140Report:
     """FIPS 140-2 battery on the generator's next 20,000 bits.
 
@@ -331,19 +417,29 @@ def startup_self_test(rng: BSRNG) -> Fips140Report:
     return report
 
 
+class _MonitorLatch(HealthState):
+    """The monitor's latch: failures count under its generator's series."""
+
+    def __init__(self, algorithm: str, alpha: float, entropy_per_sample: float) -> None:
+        super().__init__(alpha, entropy_per_sample)
+        self.algorithm = algorithm
+
+    def _publish(self, event: dict | None) -> None:
+        if event is not None:
+            obs.inc(
+                "repro_health_failures_total", 1, algorithm=self.algorithm, test=event["test"]
+            )
+
+
 class HealthMonitoredBSRNG:
     """Front a :class:`BSRNG` with startup and continuous health tests.
 
     Every emitted buffer is screened by the Repetition Count and Adaptive
-    Proportion tests before the caller sees it.  On a failure:
-
-    * ``on_failure="raise"`` (default) — raise :class:`HealthTestError`
-      (the FIPS error state: no further output).
-    * ``on_failure="degrade"`` — reseed the failing bank through
-      :meth:`BSRNG.reseed`, record a :class:`HealthEvent` in
-      :attr:`log`, and regenerate the buffer from the fresh state.  After
-      ``max_reseeds`` consecutive reseeds still fail, raise anyway (a
-      genuinely broken source must not spin forever).
+    Proportion tests of one :class:`HealthState` (:attr:`health`) before
+    the caller sees it.  A failing buffer is withheld and raises
+    :class:`HealthTestError`, and the latch holds the FIPS error state:
+    every later draw raises too, without drawing, until
+    ``health.reset()``.
 
     Parameters
     ----------
@@ -368,101 +464,40 @@ class HealthMonitoredBSRNG:
         lanes: int = 4096,
         alpha: float = DEFAULT_ALPHA,
         entropy_per_sample: float = 8.0,
-        on_failure: str = "raise",
-        max_reseeds: int = 3,
         startup_test: bool = True,
     ) -> None:
-        if on_failure not in ("raise", "degrade"):
-            raise SpecificationError("on_failure must be 'raise' or 'degrade'")
         self.inner = rng if isinstance(rng, BSRNG) else BSRNG(rng, seed=seed, lanes=lanes)
-        self.on_failure = on_failure
-        self.max_reseeds = max_reseeds
-        self.screen = HealthScreen(alpha, entropy_per_sample)
-        self.log = HealthLog()
+        self.health = _MonitorLatch(self.inner.algorithm, alpha, entropy_per_sample)
         self.startup_report: Fips140Report | None = None
         if startup_test:
             self.startup_report = startup_self_test(self.inner)
 
-    # -- screening core ----------------------------------------------------------
-    def _draw(self, n: int) -> np.ndarray:
-        """Screened byte draw (uint8 array)."""
-        if n < 0:
-            raise SpecificationError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-        for attempt in range(self.max_reseeds + 1):
-            data = self.inner.random_uint8(n)  # no bytes round-trip copy
-            with span("health.screen", algo=self.algorithm, n=n):
-                event = self.screen.update(data)
-            if event is None:
-                self.log.bytes_screened = self.screen.position
-                obs.inc("repro_health_screened_bytes_total", n, algorithm=self.algorithm)
-                return data
-            obs.inc(
-                "repro_health_failures_total",
-                1,
-                algorithm=self.algorithm,
-                test=event.test,
+    # -- the draw API: BSRNG's own, over the screened byte source ---------------
+    def _take_bytes(self, n: int) -> np.ndarray:
+        """Screened byte draw (uint8 array); raises while latched."""
+        if not self.health.healthy:
+            raise HealthTestError(
+                f"latched unhealthy by {self.health.events[-1]['test']}: "
+                "no output until health.reset()"
             )
-            final = self.on_failure == "raise" or attempt == self.max_reseeds
-            event.action = "raise" if final else "reseed"
-            self.log.record(event)
-            logger.warning(
-                "health test %s failed at byte %d on %s: %s (%s)",
-                event.test,
-                event.position,
-                self.algorithm,
-                event.detail,
-                "raising"
-                if final
-                else f"degrading: reseed {self.log.reseeds + 1}/{self.max_reseeds}",
-            )
-            if final:
-                flight.record(
-                    "health-failure",
-                    algorithm=self.algorithm,
-                    test=event.test,
-                    position=event.position,
-                    detail=event.detail,
-                )
-                flight.dump("health")
-                raise HealthTestError(
-                    f"{event.test} failed at byte {event.position}: {event.detail}"
-                    + (
-                        f" (after {self.log.reseeds} reseeds)"
-                        if self.on_failure == "degrade"
-                        else ""
-                    )
-                )
-            self.inner.reseed()
-            self.log.reseeds += 1
-            obs.inc("repro_health_reseeds_total", 1, algorithm=self.algorithm)
-        raise AssertionError("unreachable")  # pragma: no cover
+        data = self.inner.random_uint8(n)  # no bytes round-trip copy
+        with span("health.screen", algo=self.algorithm, n=n):
+            event = self.health.screen(data)
+        if event is not None:
+            failure = f"{event.test} failed at byte {event.position}: {event.detail}"
+            logger.warning("health test %s on %s", failure, self.algorithm)
+            raise HealthTestError(failure)
+        obs.inc("repro_health_screened_bytes_total", n, algorithm=self.algorithm)
+        return data
 
-    # -- public draws (mirror BSRNG) ---------------------------------------------
-    def random_bytes(self, n: int) -> bytes:
-        """*n* screened uniform bytes."""
-        return self._draw(n).tobytes()
-
-    def random_bits(self, n: int) -> np.ndarray:
-        """*n* screened bits (uint8 0/1, little bit order)."""
-        raw = self._draw(-(-n // 8))
-        return np.unpackbits(raw, bitorder="little")[:n]
-
-    def random_uint64(self, n: int) -> np.ndarray:
-        """*n* screened uniform 64-bit words."""
-        return self._draw(8 * n).view(np.uint64)
-
-    def random_uint32(self, n: int) -> np.ndarray:
-        """*n* screened uniform 32-bit words."""
-        return self._draw(8 * -(-n // 2)).view(np.uint32)[:n].copy()
-
-    def random(self, size: int | tuple = 1) -> np.ndarray:
-        """Screened uniform float64 in [0, 1)."""
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
-        words = self.random_uint64(n)
-        return ((words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(shape)
+    # BSRNG's draws reach its stream only through these two, so its own
+    # conversions (and size checks) run unchanged over the screen
+    _take_words = BSRNG._take_words
+    random_bytes = BSRNG.random_bytes
+    random_bits = BSRNG.random_bits
+    random_uint64 = BSRNG.random_uint64
+    random_uint32 = BSRNG.random_uint32
+    random = BSRNG.random
 
     @property
     def algorithm(self) -> str:
@@ -470,7 +505,8 @@ class HealthMonitoredBSRNG:
         return self.inner.algorithm
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        screener = self.health.screener
         return (
-            f"HealthMonitoredBSRNG({self.inner!r}, on_failure={self.on_failure!r}, "
-            f"rct_cutoff={self.screen.rct.cutoff}, apt_cutoff={self.screen.apt.cutoff})"
+            f"HealthMonitoredBSRNG({self.inner!r}, healthy={self.health.healthy}, "
+            f"rct_cutoff={screener.rct.cutoff}, apt_cutoff={screener.apt.cutoff})"
         )

@@ -20,6 +20,7 @@ from repro.fleet import (
     WorkerSpec,
 )
 from repro.fleet.controller import EVENTS_KEPT
+from repro.obs.dashboard import gauge_value
 from repro.robust.supervisor import payload_crc
 from repro.serve.engine import RangeSource, StreamConfig
 
@@ -544,6 +545,30 @@ class TestObservability:
             ctrl.close()
         finally:
             obs.disable_metrics()
+
+    def test_evicted_members_bounded(self):
+        """A fleet that keeps losing members keeps the present ones plus
+        the most recently evicted; the evicted gauge still reports the
+        total."""
+        with obs.scoped() as reg:
+            ctrl, transport, clock = make_fleet(max_evictions=1000)
+            for _ in range(100):
+                register_all(ctrl, transport, clock)
+                victim = next(w for w, m in ctrl.members.items() if m.state == "live")
+                transport.alive_map[victim] = False
+                ctrl.check_liveness(clock.now)
+                ctrl.reconcile(clock.now)  # relaunches the victim's slot
+            status = ctrl.status()
+            ctrl.close()
+        assert ctrl.evictions == 100
+        assert len(status["workers"]) <= 2 + EVENTS_KEPT
+        evicted = [w["worker_id"] for w in status["workers"] if w["state"] == "evicted"]
+        assert len(evicted) == EVENTS_KEPT
+        assert max(evicted) == 99 and min(evicted) == 100 - EVENTS_KEPT  # the latest
+        samples = [
+            (m["name"], m["labels"], m["value"]) for m in reg.snapshot()["metrics"]
+        ]
+        assert gauge_value(samples, "repro_fleet_workers", state="evicted") == 100
 
     def test_status_snapshot_shape(self):
         ctrl, transport, clock = make_fleet()

@@ -78,6 +78,31 @@ class TestEdgeCases:
         with pytest.raises(SpecificationError):
             r.random_uint64(-1)
 
+    @pytest.mark.parametrize(
+        "monitored, method, args",
+        [
+            (False, "random_bits", (-5,)),
+            (False, "random_bits", (-9,)),
+            (False, "random", (-1,)),
+            (False, "random", ((-2, -3),)),
+            (False, "integers", (0, 10, -1)),
+            (False, "normal", (-1,)),
+            (True, "random_bits", (-5,)),
+            (True, "random_bits", (-9,)),
+            (True, "random", (-1,)),
+        ],
+    )
+    def test_negative_sizes_rejected(self, monitored, method, args):
+        # every draw, plain or health-monitored, rejects a negative size
+        # the same way instead of returning [] or raising NumPy's error
+        from repro.robust.health import HealthMonitoredBSRNG
+
+        r = BSRNG("xorwow", seed=0, lanes=64)
+        if monitored:
+            r = HealthMonitoredBSRNG(r, startup_test=False)
+        with pytest.raises(SpecificationError):
+            getattr(r, method)(*args)
+
     def test_integers_validation(self):
         r = BSRNG("mt19937", seed=0, lanes=8)
         with pytest.raises(SpecificationError):

@@ -13,12 +13,14 @@ import asyncio
 import http.client
 import threading
 
+import pytest
+
 from repro import obs
 from repro.obs.dashboard import gauge_value, parse_prometheus
 from repro.fleet import FleetConfig, Message
 from repro.gpu.multigpu import MultiDeviceGenerator
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan, StuckBSRNG
-from repro.robust.health import HealthMonitoredBSRNG
+from repro.robust.health import HealthMonitoredBSRNG, HealthTestError
 from repro.robust.supervisor import payload_crc
 from repro.serve import DaemonConfig, ServeDaemon
 from repro.serve.engine import ServeEngine, StreamConfig
@@ -309,9 +311,7 @@ HEALTH_MONITOR = {
     ("repro_generator_generated_bytes_total", ("algorithm",)),
     ("repro_generator_refill_bytes", ("algorithm",)),
     ("repro_generator_refills_total", ("algorithm",)),
-    ("repro_generator_reseeds_total", ("algorithm",)),
     ("repro_health_failures_total", ("algorithm", "test")),
-    ("repro_health_reseeds_total", ("algorithm",)),
     ("repro_health_screened_bytes_total", ("algorithm",)),
     ("repro_health_startup_total", ("algorithm", "verdict")),
 }
@@ -319,12 +319,12 @@ HEALTH_MONITOR = {
 
 def test_health_monitor_series():
     with obs.scoped() as reg:
-        # honest through the 2,500-byte startup gate, then wedged until
-        # the reseed the degrade policy performs
-        mon = HealthMonitoredBSRNG(
-            StuckBSRNG("mickey2", seed=3, lanes=64, stuck_after=2500),
-            on_failure="degrade",
-        )
-        mon.random_bytes(1024)
-    assert mon.log.reseeds == 1
+        # honest through the 2,500-byte startup gate and one screened
+        # draw, then wedged: the screen trips and the latch holds
+        mon = HealthMonitoredBSRNG(StuckBSRNG("mickey2", seed=3, lanes=64, stuck_after=3012))
+        mon.random_bytes(512)
+        for _ in range(2):
+            with pytest.raises(HealthTestError):
+                mon.random_bytes(512)
+    assert not mon.health.healthy
     assert series(reg) == HEALTH_MONITOR

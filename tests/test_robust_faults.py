@@ -98,16 +98,3 @@ class TestStuckBSRNG:
         data = stuck.random_bytes(40)
         assert data[:10] == honest
         assert data[10:] == b"\x11" * 30
-
-    def test_reseed_clears_wedge(self):
-        stuck = StuckBSRNG("xorwow", seed=6, lanes=64, stuck_byte=0x11)
-        assert stuck.random_bytes(8) == b"\x11" * 8
-        stuck.reseed()
-        assert stuck.random_bytes(8) != b"\x11" * 8
-
-    def test_unrecoverable_when_flagged(self):
-        stuck = StuckBSRNG(
-            "xorwow", seed=6, lanes=64, stuck_byte=0x11, recover_on_reseed=False
-        )
-        stuck.reseed()
-        assert stuck.random_bytes(8) == b"\x11" * 8

@@ -1,6 +1,6 @@
 """Health tests (SP 800-90B RCT/APT + FIPS startup gate): cutoff
-derivation, streaming state across buffers, and the monitored wrapper's
-raise/degrade semantics."""
+derivation, streaming state across buffers, and the one latch's sticky
+error state in the service and the monitored wrapper."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,13 @@ from repro.robust.health import (
     AdaptiveProportionTest,
     HealthMonitoredBSRNG,
     HealthScreen,
+    HealthState,
     RepetitionCountTest,
     apt_cutoff,
     rct_cutoff,
     startup_self_test,
 )
-from repro.serve.engine import HealthState, StreamConfig
+from repro.serve.engine import StreamConfig
 
 
 class TestCutoffs:
@@ -187,7 +188,7 @@ class TestHealthMonitoredBSRNG:
         mon = HealthMonitoredBSRNG(BSRNG("xorwow", seed=4, lanes=64), startup_test=False)
         plain = BSRNG("xorwow", seed=4, lanes=64)
         assert mon.random_bytes(4096) == plain.random_bytes(4096)
-        assert mon.log.bytes_screened == 4096 and not mon.log.events
+        assert mon.health.bytes_screened == 4096 and not mon.health.events
 
     def test_startup_consumes_block(self):
         # the power-up gate consumes 20,000 bits before the first emission
@@ -202,26 +203,36 @@ class TestHealthMonitoredBSRNG:
         mon = HealthMonitoredBSRNG(stuck, startup_test=False)
         with pytest.raises(HealthTestError, match="rct"):
             mon.random_bytes(256)
-        assert mon.log.events and mon.log.events[0].test == "rct"
+        assert mon.health.events and mon.health.events[0]["test"] == "rct"
 
-    def test_degrade_reseeds_and_recovers(self):
-        stuck = StuckBSRNG("xorwow", seed=1, lanes=64, stuck_byte=0xAA)
-        mon = HealthMonitoredBSRNG(stuck, startup_test=False, on_failure="degrade")
-        data = mon.random_bytes(2048)
-        assert len(data) == 2048
-        assert mon.log.reseeds == 1
-        assert [e.action for e in mon.log.events] == ["reseed"]
+    def test_latch_holds_until_reset(self):
+        # the FIPS error state: once tripped, the monitor emits nothing,
+        # even when its source has recovered, until the latch is reset
+        mon = HealthMonitoredBSRNG(BSRNG("xorwow", seed=4, lanes=64), startup_test=False)
+        real = mon.inner.random_uint8
+        mon.inner.random_uint8 = lambda n: np.zeros(n, dtype=np.uint8)
+        with pytest.raises(HealthTestError, match="rct"):
+            mon.random_bytes(4096)
+        mon.inner.random_uint8 = real
+        for draw in (mon.random_bytes, mon.random_uint64, mon.random_bits, mon.random):
+            with pytest.raises(HealthTestError, match="latched"):
+                draw(16)
+        assert not mon.health.healthy and len(mon.health.events) == 1
+        mon.health.reset()
+        assert len(mon.random_bytes(4096)) == 4096
+        assert mon.health.healthy
 
-    def test_degrade_gives_up_after_max_reseeds(self):
-        stuck = StuckBSRNG(
-            "xorwow", seed=1, lanes=64, stuck_byte=0xAA, recover_on_reseed=False
-        )
-        mon = HealthMonitoredBSRNG(
-            stuck, startup_test=False, on_failure="degrade", max_reseeds=2
-        )
-        with pytest.raises(HealthTestError, match="reseed"):
-            mon.random_bytes(256)
-        assert mon.log.reseeds == 2
+    def test_events_bounded_like_the_service(self):
+        mon = HealthMonitoredBSRNG("xorwow", seed=4, lanes=64, startup_test=False)
+        mon.inner.random_uint8 = lambda n: np.zeros(n, dtype=np.uint8)
+        for _ in range(200):
+            with pytest.raises(HealthTestError, match="rct"):
+                mon.random_bytes(64)
+            mon.health.reset()
+        events = mon.health.events
+        assert len(events) == HealthState.EVENTS_KEPT
+        assert events[0]["position"] == 4  # the first latch stays
+        assert events[-1]["position"] == 199 * 64 + 4
 
     def test_draw_api_shapes(self):
         mon = HealthMonitoredBSRNG("xorwow", seed=5, lanes=64, startup_test=False)
@@ -230,10 +241,6 @@ class TestHealthMonitoredBSRNG:
         assert mon.random_bits(17).size == 17
         assert ((0.0 <= mon.random(8)) & (mon.random(8) < 1.0)).all()
         assert mon.random_bytes(0) == b""
-
-    def test_invalid_on_failure(self):
-        with pytest.raises(SpecificationError):
-            HealthMonitoredBSRNG("xorwow", lanes=64, on_failure="retry", startup_test=False)
 
     def test_reseed_walks_deterministic_sequence(self):
         a = BSRNG("xorwow", seed=10, lanes=64)
