@@ -302,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         "a wedged chunk (default 5s)",
     )
     serve.add_argument(
-        "--chunk-bytes", type=int, default=1 << 16,
+        "--chunk-bytes", type=int, default=1 << 18,
         help="generation granularity: leases are served from the stream cut "
-        "into chunks of this size, one fleet job each (default 64 KiB)",
+        "into chunks of this size, one fleet job each (default 256 KiB; "
+        "/v1/stream frames default to it, up to 64 KiB)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=4,

@@ -214,7 +214,7 @@ def import_kernel(algorithm: str) -> None:
 class Receipt(NamedTuple):
     """What :meth:`BSRNG.read_with_receipt` returns beside the bytes."""
 
-    crc: int  #: ``payload_crc`` of the bytes (MSB-first CRC-32-IEEE)
+    crc: int  #: ``payload_crc`` of the bytes (zlib's reflected CRC-32)
 
 
 class _PlaneSource:

@@ -12,7 +12,6 @@ from repro.crc.serial import (
     CRC32_IEEE,
     SerialCRC,
     crc_table_lookup,
-    table_crc_bytes,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "CRC16_CCITT",
     "CRC32_IEEE",
     "crc_table_lookup",
-    "table_crc_bytes",
 ]

@@ -7,7 +7,6 @@ work pattern bitslicing eliminates.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "CRC16_CCITT",
     "CRC32_IEEE",
     "crc_table_lookup",
-    "table_crc_bytes",
 ]
 
 
@@ -94,51 +92,6 @@ def _byte_table(spec: CRCSpec) -> list[int]:
                 reg ^= spec.poly
         table.append(reg)
     return table
-
-
-#: Bit-reversal of each byte value, as a ``bytes.translate`` table — maps
-#: between the MSB-first (non-reflected) bit convention used here and the
-#: LSB-first (reflected) convention of ``zlib.crc32``.
-_BITREV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
-def _crc32_ieee_fast(data: bytes) -> int:
-    """MSB-first CRC-32-IEEE via ``zlib.crc32`` (C speed, GIL-releasing).
-
-    An MSB-first CRC with polynomial P, init I and no output xor equals
-    the bit-reversal of the LSB-first CRC with polynomial rev(P) and init
-    rev(I) over bit-reversed message bytes.  For CRC-32-IEEE that
-    reflected register is exactly what zlib computes internally
-    (``zlib.crc32(x) == raw_register ^ 0xFFFFFFFF``), so the whole
-    checksum reduces to one ``bytes.translate`` pass and one zlib call —
-    ~50x faster than the per-byte Python loop, and zlib drops the GIL on
-    large buffers, which is what lets the serve engine verify chunks from
-    many client threads concurrently.
-    """
-    reflected = bytes(data).translate(_BITREV8)
-    raw = zlib.crc32(reflected) ^ 0xFFFFFFFF
-    return int(f"{raw:032b}"[::-1], 2)
-
-
-def table_crc_bytes(spec: CRCSpec, data: bytes) -> int:
-    """CRC of one byte string (msb-first), table-driven.
-
-    The single-message companion to :func:`crc_table_lookup`, used where
-    one long message is checksummed once (e.g. the supervisors'
-    per-partition integrity hooks) rather than many short lanes at once.
-    CRC-32-IEEE takes the zlib fast path (bit-identical, see
-    :func:`_crc32_ieee_fast`); other specs fall back to a plain Python
-    loop over a precomputed table.
-    """
-    if spec == CRC32_IEEE:
-        return _crc32_ieee_fast(data)
-    table = _byte_table(spec)
-    mask = (1 << spec.width) - 1
-    shift = spec.width - 8
-    reg = spec.init
-    for b in data:
-        reg = ((reg << 8) & mask) ^ table[((reg >> shift) ^ b) & 0xFF]
-    return reg
 
 
 def crc_table_lookup(spec: CRCSpec, data: np.ndarray) -> np.ndarray:

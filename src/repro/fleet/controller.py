@@ -267,6 +267,7 @@ class FleetController:
                 heartbeat_interval=self.config.heartbeat_interval,
                 plan_json=fault_plan.to_json() if fault_plan is not None else None,
                 ring=self._ring.spec if self._ring is not None else None,
+                replay=self.config.max_inflight_per_worker,
             )
             transport = LocalProcessTransport(spec, mp_context=self.config.mp_context)
         self.transport = transport

@@ -120,6 +120,8 @@ class WorkerSpec:
     #: Shared-memory result ring ``(name, slot_bytes, slots)`` to attach,
     #: or ``None`` to ship payloads as message bytes (remote transports).
     ring: tuple | None = None
+    #: Ranges the member's replay window holds: its jobs in flight.
+    replay: int = 2
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:

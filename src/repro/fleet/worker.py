@@ -125,7 +125,7 @@ def _delta(reg) -> dict | None:
 
 def _worker_loop(worker_id: int, spec: WorkerSpec, conn, reg) -> None:
     plan = FaultPlan.resolve(spec.plan_json)
-    source = RangeSource(spec.stream)
+    source = RangeSource(spec.stream, replay=spec.replay)
     conn.send(Message("register", worker_id))
     job_index = 0
     last_heartbeat = time.monotonic()

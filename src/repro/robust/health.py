@@ -298,8 +298,10 @@ class HealthState:
     and biased output, properties of the generator, not of any one
     lease), :class:`HealthMonitoredBSRNG` its draws.  The verdict is the
     SP 800-90B error state: one screen failure, or an external monitor's
-    :meth:`latch`, flips :attr:`healthy` until :meth:`reset`, and each
-    latch is written to the flight recorder, which dumps.
+    :meth:`latch`, flips :attr:`healthy` until :meth:`reset`.  Every
+    latch is recorded in the flight recorder; the one that flips a
+    healthy verdict also dumps it, outside the lock (a stream that keeps
+    tripping while latched writes no further dumps).
 
     :attr:`events` keeps the first latch and the most recent ones, at
     most :attr:`EVENTS_KEPT` in all: a correct stream trips the serve
@@ -335,12 +337,14 @@ class HealthState:
             if event is None:
                 return None
             self.screener.position += len(data)
-            self._latch(
+            flipped = self._latch(
                 {"test": event.test, "position": event.position, "time": time.time()},
                 position=event.position,
                 detail=event.detail,
             )
-            return event
+        if flipped:
+            flight.dump("health")
+        return event
 
     def latch(self, test: str, detail: dict | None = None) -> None:
         """Latch unhealthy on an external monitor's verdict.
@@ -353,17 +357,23 @@ class HealthState:
         if detail:
             event["detail"] = detail
         with self._lock:
-            self._latch(event)
+            flipped = self._latch(event)
+        if flipped:
+            flight.dump("health")
 
-    def _latch(self, event: dict, **flight_args) -> None:
-        """Record *event* and flip the verdict (the caller holds the lock)."""
-        self.healthy = False
+    def _latch(self, event: dict, **flight_args) -> bool:
+        """Record *event* and flip the verdict (the caller holds the lock).
+
+        Returns whether the verdict was healthy until now: the caller
+        then dumps the flight recorder, once it has let the lock go.
+        """
+        flipped, self.healthy = self.healthy, False
         self.events.append(event)
         if len(self.events) > self.EVENTS_KEPT:
             del self.events[1]  # the first latch stays
         self._publish(event)
         flight.record("health-failure", test=event["test"], **flight_args)
-        flight.dump("health")
+        return flipped
 
     def _publish(self, event: dict | None) -> None:
         """Export one verdict change: *event* latched, ``None`` reset."""

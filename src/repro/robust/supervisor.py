@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -36,7 +37,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.ring import resolve_start_method
-from repro.crc import CRC32_IEEE, table_crc_bytes
 from repro.errors import DeviceFailureError, PartitionCorruptionError, SpecificationError
 from repro.obs import context as trace_context
 from repro.obs import flight
@@ -63,15 +63,21 @@ __all__ = [
 _EVENT_KINDS = {"heartbeat": "timeout", "crash": "error", "corrupt": "corrupt"}
 
 
-def payload_crc(payload: bytes | np.ndarray) -> int:
-    """CRC-32 over a partition payload's canonical byte form.
+def payload_crc(payload: bytes | bytearray | memoryview | np.ndarray) -> int:
+    """CRC-32 receipt of a payload: ``zlib.crc32`` over its buffer as given.
 
-    Workers call this before returning; the supervisor calls it again on
+    Workers call this before returning; the fleet parent calls it again on
     receipt — both sides must agree on the byte serialisation, hence one
-    shared helper.
+    shared helper.  Bytes, bytearray, memoryview and ndarray buffers are
+    read in place (an ndarray in C order, as ``tobytes`` would give, with
+    no copy unless it is not C-contiguous).  This is CRC-32-IEEE in zlib's
+    reflected form, not the paper's MSB-first register (:mod:`repro.crc`):
+    a receipt is never served or stored, only compared between a member
+    and its parent from the same build.
     """
-    data = payload.tobytes() if isinstance(payload, np.ndarray) else payload
-    return table_crc_bytes(CRC32_IEEE, data)
+    if isinstance(payload, np.ndarray):
+        payload = np.ascontiguousarray(payload)
+    return zlib.crc32(payload)
 
 
 def attempt_shell(

@@ -12,9 +12,11 @@ one :class:`~repro.serve.engine.ServeEngine` and one
     ``X-Repro-Lease-Length`` response headers, so the client can verify
     the payload against an offline :class:`~repro.core.generator.BSRNG`.
 ``GET /v1/stream?n=N&chunk=C``
-    Chunked-transfer stream.  With ``n`` the whole window is one lease
-    (contiguous bytes); without it the stream is open-ended and leases
-    chunk by chunk until the client disconnects or the daemon drains.
+    Chunked-transfer stream of ``C``-byte frames (default: the grid
+    chunk, ``chunk_bytes``, but at most :data:`STREAM_FRAME_BYTES`,
+    64 KiB).  With ``n`` the whole window is one lease (contiguous
+    bytes); without it the stream is open-ended and leases frame by frame
+    until the client disconnects or the daemon drains.
 ``GET /healthz``
     200 while the SP 800-90B screen is clean and the daemon accepts
     work; 503 once the RCT/APT verdict latched unhealthy or a drain
@@ -36,8 +38,8 @@ lease covers whole is private to that response's pipeline.  Only a
 lease's first and last chunk can hold a neighbour's bytes too; those
 *edge* chunks sit in a small shared table while any lease holds them,
 and the chunk the next lease will start in stays there once accepted.
-So consecutive small leases read one chunk — sixteen 4 KiB requests per
-64 KiB fleet job — and a lease reuses bytes in flight or already
+So consecutive small leases read one chunk — 64 4 KiB requests per
+256 KiB fleet job — and a lease reuses bytes in flight or already
 accepted instead of starting a member round trip of its own.  A shared
 chunk is accepted by a task of its own, started by whichever holder
 first waits for it: a stalled or disconnected neighbour neither delays
@@ -52,9 +54,12 @@ strictly in stream order, and each piece is written through
 ``writer.drain()`` (socket watermarks) before the next is collected.  A
 slow reader therefore stalls its own pipeline at most ``queue_depth ×
 chunk`` bytes ahead of what the socket accepted (or two ``/v1/stream``
-frames, where a frame spans more grid chunks than that); it never grows
-daemon memory and never slows other clients, whose pipelines run
-independently.  All of it runs on the event loop, which
+frames, where a frame spans more grid chunks than that) and never slows
+other clients, whose pipelines run independently.  That bound is per
+connection, and the daemon caps no connection count: at the defaults
+(4 × 256 KiB) an unread ``/v1/bytes`` response may hold 1 MiB, an unread
+``/v1/stream`` of default 64 KiB frames the one or two grid chunks its
+four queued frames span.  All of it runs on the event loop, which
 also reads member results as they land
 (:meth:`~repro.serve.engine.ServeEngine.acollect`): a chunk crosses no
 other thread on its way out.  A response yields the loop once every
@@ -115,7 +120,7 @@ from repro.obs.context import TraceContext
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import span
-from repro.serve.engine import ChunkTicket, ServeEngine
+from repro.serve.engine import GRID_CHUNK_BYTES, ChunkTicket, ServeEngine
 from repro.serve.leases import Lease, LeaseManager
 
 logger = logging.getLogger(__name__)
@@ -147,6 +152,13 @@ def _head_prefix(status: int, content_type: str) -> str:
     )
 
 
+#: ``/v1/stream``'s widest default frame.  A grid chunk wider than this
+#: does not widen the frames, so an unread stream holds the one or two
+#: grid chunks its ``queue_depth`` queued frames span, not
+#: ``queue_depth`` whole grid chunks.
+STREAM_FRAME_BYTES = 1 << 16
+
+
 def _raw_frame(data: bytes) -> bytes:
     return data
 
@@ -166,7 +178,7 @@ class DaemonConfig:
 
     host: str = "127.0.0.1"
     port: int = 8797
-    chunk_bytes: int = 1 << 16  # generation + streaming granularity
+    chunk_bytes: int = GRID_CHUNK_BYTES  # generation granularity (one fleet job each)
     queue_depth: int = 4  # per-stream buffered chunks (backpressure bound)
     drain_grace: float = 10.0  # seconds in-flight requests get after SIGTERM
     idle_timeout: float = 30.0  # keep-alive connections idle longer are closed
@@ -773,7 +785,9 @@ class ServeDaemon:
 
     async def _serve_stream(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
         try:
-            chunk = int(request.query.get("chunk", self.config.chunk_bytes))
+            chunk = int(
+                request.query.get("chunk", min(self.config.chunk_bytes, STREAM_FRAME_BYTES))
+            )
             total = int(request.query["n"]) if "n" in request.query else None
         except ValueError:
             raise SpecificationError("chunk and n must be integers") from None

@@ -145,8 +145,8 @@ class TestPositionTracking:
         assert a.read(256) == b.read(256)
 
     def test_payload_crc_matches_zlib_fast_path(self):
-        # the serve integrity hook rides the zlib-backed CRC-32-IEEE
-        # fast path; spot-check it against the documented register form
+        # the fleet receipt is plain zlib.crc32 over the buffer as given:
+        # a generator draw and a copy of it agree
         data = BSRNG(ALGO, seed=6, lanes=LANES).read(4096)
         assert payload_crc(data) == payload_crc(bytearray(data))
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.errors import SpecificationError
 from repro.fleet import FleetConfig, FleetController
 from repro.robust.faults import FAULT_PLAN_ENV, Fault, FaultPlan
 from repro.serve.engine import RangeSource, ServeEngine, StreamConfig
@@ -123,6 +125,20 @@ class TestReplayWindow:
         assert list(source._recent) == [(16 * k, 16) for k in (7, 8, 9)]
         source.read_range(0, 16)  # aged out: regenerated, not replayed
         assert source.replays == 0 and source.rebuilds == 2
+
+    def test_window_holds_the_last_replay_ranges(self):
+        # a member keeps as many ranges as it has jobs in flight, whatever
+        # their size; an inline source that nothing retries keeps none
+        source = RangeSource(STREAM, replay=2)
+        for k in range(4):
+            source.read_range(40 * k, 40)
+        assert list(source._recent) == [(80, 40), (120, 40)]
+        assert source.read_range(80, 40) == offline(80, 40) and source.replays == 1
+        none = RangeSource(STREAM, replay=0)
+        none.read_range(0, 40)
+        assert not none._recent
+        with pytest.raises(SpecificationError):
+            RangeSource(STREAM, replay=-1)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

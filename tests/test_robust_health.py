@@ -2,13 +2,18 @@
 derivation, streaming state across buffers, and the one latch's sticky
 error state in the service and the monitored wrapper."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.generator import BSRNG
 from repro.errors import HealthTestError, SpecificationError
+from repro.obs import flight
 from repro.robust.faults import StuckBSRNG
 from repro.robust.health import (
     APT_WINDOW,
@@ -171,6 +176,34 @@ class TestHealthState:
         assert events[0]["test"] == "qa:drill0"
         assert [e["test"] for e in events[1:]] == [f"qa:drill{k}" for k in range(151, 200)]
 
+    def test_flight_dump_only_when_the_verdict_flips(self, tmp_path, monkeypatch):
+        # a stream that keeps tripping while latched (serve_bulk counts
+        # dozens of trips a run) writes one dump, not one per trip; every
+        # trip is still recorded and counted
+        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path))
+        flight.disable()
+        flight._env_checked = False  # the recorder comes from the environment
+        stuck = np.zeros(64, dtype=np.uint8)
+        try:
+            with obs.scoped() as reg:
+                state = HealthState(2.0**-20)
+                assert state.screen(stuck) is not None
+                assert state.screen(stuck) is not None
+                assert len(list(tmp_path.glob("*-health.json"))) == 1
+                state.reset()
+                assert state.screen(stuck) is not None
+                state.latch("qa:drill")  # already unhealthy: no dump
+                dumps = sorted(tmp_path.glob("*-health.json"))
+            assert len(dumps) == 2
+            entries = json.loads(dumps[-1].read_text())["entries"]
+            assert [e["test"] for e in entries if e["kind"] == "health-failure"] == ["rct"] * 3
+            assert len(state.events) == 4
+            failures = [m for m in reg.snapshot()["metrics"]
+                        if m["name"] == "repro_serve_health_failures_total"]
+            assert sum(m["value"] for m in failures) == 4
+        finally:
+            flight.disable()
+
 
 class TestStartupSelfTest:
     def test_healthy_generator_passes(self):
@@ -314,9 +347,19 @@ _SCREEN_PARAMS = [(0.3, 8.0), (2.0**-20, 8.0), (2.0**-30, 8.0), (2.0**-20, 2.0),
 def _screened_streams(draw):
     alpha, h = draw(st.sampled_from(_SCREEN_PARAMS))
     alphabet = draw(st.integers(2, 256))
-    size = draw(st.integers(0, 3000))
+    size = draw(st.integers(0, 6000))
     seed = draw(st.integers(0, 2**32 - 1))
     data = np.random.default_rng(seed).integers(0, alphabet, size, dtype=np.uint8)
+    # constant and near-constant windows on a fresh stream's window grid:
+    # every stride-th sample differs, so a window keeps at least half its
+    # samples equal to its first (counts of 256 to 512 in one row)
+    for k in draw(st.lists(st.integers(0, max(size // APT_WINDOW - 1, 0)), max_size=3)):
+        window = data[k * APT_WINDOW : (k + 1) * APT_WINDOW]
+        value = draw(st.integers(0, alphabet - 1))
+        window[:] = value
+        stride = draw(st.sampled_from([0, 2, 3, 5, 8, 64]))
+        if stride:
+            window[stride - 1 :: stride] = (value + 1) % alphabet
     # arbitrary seams, and seams on window boundaries of a fresh stream
     seams = st.one_of(st.integers(0, size), st.integers(0, size // APT_WINDOW).map(
         lambda k: k * APT_WINDOW))
@@ -326,7 +369,11 @@ def _screened_streams(draw):
             length = draw(st.integers(1, 45))
             start = max(0, seam - draw(st.integers(0, length)))
             data[start : start + length] = draw(st.integers(0, alphabet - 1))
-    chunks = [data[a:b] for a, b in zip([0, *cuts], [*cuts, size])]
+    bounds = [0, *cuts, size]
+    for a, b in zip(bounds, bounds[1:]):  # trailing runs spanning whole buffers
+        if b - a <= 48 and draw(st.booleans()):
+            data[max(0, a - draw(st.integers(0, 8))) : b] = draw(st.integers(0, alphabet - 1))
+    chunks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
     return alpha, h, chunks
 
 
@@ -354,3 +401,62 @@ class TestVectorisedScreensMatchScalarOracle:
             if got is not None:
                 for test in (rct, apt, o_rct, o_apt):
                     test.reset()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_screened_streams())
+    def test_apt_alone_counts_constant_windows(self, case):
+        # without the RCT in front the APT sees the constant windows
+        # (up to all 512 samples matching), which the RCT trips on first
+        alpha, h, chunks = case
+        apt = AdaptiveProportionTest(alpha, h)
+        oracle = _ScalarAPT(apt.cutoff)
+        for chunk in chunks:
+            got = apt.update(chunk)
+            assert got == oracle.update(chunk)
+            assert (apt._ref, apt._seen, apt._count) == (
+                oracle._ref,
+                oracle._seen,
+                oracle._count,
+            )
+            if got is not None:
+                apt.reset()
+                oracle.reset()
+
+
+# -- differential: the screen vs the scalar oracles on biased streams --------------
+class TestScreenMatchesScalarOracleOnBiasedStreams:
+    @pytest.mark.parametrize("mask", [0x00, 0xFE, 0x03])
+    @pytest.mark.parametrize("alpha", [2.0**-20, 2.0**-30])
+    def test_biased_stream_events_and_state(self, mask, alpha):
+        # the serve bias drills' masks over a real stream, cut at seams
+        # that are not window multiples: the screen's events and carried
+        # state are the per-sample oracles' under the screen's call pattern
+        data = np.frombuffer(BSRNG("trivium", seed=1).read(1 << 21), np.uint8) & mask
+        screen = HealthScreen(alpha)
+        o_rct, o_apt = _ScalarRCT(screen.rct.cutoff), _ScalarAPT(screen.apt.cutoff)
+        sizes = itertools.cycle([1, 3, 700, 4096, 9000, 65536])
+        events, pos, clean = 0, 0, 0  # a failing buffer is not screened clean
+        while pos < data.size:
+            chunk = data[pos : pos + next(sizes)]
+            got = screen.update(chunk)
+            want = o_rct.update(chunk)
+            test = "rct"
+            if want is None:
+                want, test = o_apt.update(chunk), "apt"
+            assert (got is None) == (want is None)
+            if got is not None:
+                events += 1
+                assert (got.test, got.position) == (test, clean + want)
+                o_rct.reset()
+                o_apt.reset()
+            else:
+                clean += chunk.size
+            pos += chunk.size
+            assert (screen.rct._last, screen.rct._run) == (o_rct._last, o_rct._run)
+            assert (screen.apt._ref, screen.apt._seen, screen.apt._count) == (
+                o_apt._ref,
+                o_apt._seen,
+                o_apt._count,
+            )
+        if alpha == 2.0**-20:
+            assert events  # every drill mask trips the serve screen

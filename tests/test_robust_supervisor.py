@@ -3,6 +3,7 @@ the attempt budget, degradation, and the supervised multi-device
 equivalence guarantees."""
 
 import multiprocessing
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ class TestPayloadCrc:
     def test_bytes_and_array_agree(self):
         data = bytes(range(100))
         assert payload_crc(data) == payload_crc(np.frombuffer(data, np.uint8))
+
+    def test_every_buffer_form_is_zlib_crc32_of_its_bytes(self):
+        data = bytes(range(256)) * 40 + b"tail"
+        words = np.frombuffer(data[:10240], np.uint64)
+        assert payload_crc(data) == zlib.crc32(data)
+        for form in (bytearray(data), memoryview(data), np.frombuffer(data, np.uint8)):
+            assert payload_crc(form) == zlib.crc32(data)
+        # a wider dtype, and a non-contiguous view, read in C byte order
+        assert payload_crc(words) == zlib.crc32(words.tobytes())
+        assert payload_crc(words[::2]) == zlib.crc32(words[::2].tobytes())
 
     def test_sensitive_to_flips(self):
         data = bytearray(range(100))

@@ -30,7 +30,7 @@ READY_RE = re.compile(r"^repro-serve listening on ([\d.]+):(\d+)\s*$")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: First RCT event of the default stream (trivium, seed 0, 4096 lanes)
-#: under the 2^-20 latch, screened in 64 KiB chunks in stream order.
+#: under the 2^-20 latch, screened in grid chunks in stream order.
 FIRST_RCT_POSITION = 685_976
 
 #: The ``engine.chunks`` counters ``perfbench/serve_workloads.py`` reads.

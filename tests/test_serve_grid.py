@@ -349,3 +349,36 @@ def test_a_stream_of_tiny_frames_yields_the_loop_every_queue_depth_frames():
             turns = list(zip(served, served[1:]))
             frames = max(later - earlier for earlier, later in turns)
             assert frames <= daemon.config.queue_depth, frames
+
+
+def _stream_frames(port: int, query: str) -> tuple[list[int], bytes, int]:
+    """The frame sizes, body and lease offset of one ``/v1/stream`` response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        head = f"GET /v1/stream?{query} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        sock.sendall(head.encode())
+        raw = b""
+        while piece := sock.recv(1 << 16):
+            raw += piece
+    head, rest = raw.split(b"\r\n\r\n", 1)
+    (offset,) = [
+        int(line.split(b":")[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"x-repro-lease-offset")
+    ]
+    frames, body = [], b""
+    while True:
+        size, rest = rest.split(b"\r\n", 1)
+        if not int(size, 16):
+            return frames, body, offset
+        frames.append(int(size, 16))
+        body, rest = body + rest[: frames[-1]], rest[frames[-1] + 2 :]
+
+
+@pytest.mark.parametrize(("chunk_bytes", "frame"), [(2048, 2048), (1 << 17, 1 << 16)])
+def test_default_stream_frame_is_the_grid_chunk_up_to_64_kib(chunk_bytes, frame):
+    # a wider grid does not widen the frames an unread stream holds
+    with grid_daemon(chunk_bytes=chunk_bytes) as (daemon, base):
+        n = 2 * frame + 100
+        frames, body, offset = _stream_frames(daemon.bound_port, f"n={n}")
+        assert frames == [frame, frame, 100]
+        assert body == offline_bytes(offset, n)
